@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -49,6 +48,16 @@ def _profile_payload(profile: curves.TraceProfile, params: curves.CurveParams) -
     }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_field(args) -> dict:
     field = make_field(args.m, args.modulus)
     return {"m": field.m, "modulus": _hex(field.modulus), "q": field.q}
@@ -83,7 +92,10 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_gamma(args) -> dict:
-    gamma = coset.load_gamma(args.gamma_file)
+    try:
+        gamma = coset.load_gamma(args.gamma_file)
+    except OSError as exc:
+        raise ValueError(f"cannot read --gamma-file: {exc}") from exc
     report = coset.gamma_report(args.m, gamma)
     residual_nonzero = {str(l): r for l, r in report.residual.items() if r}
     missing = [coset.GAMMA_BASE + 2 * l for l, c in report.histogram.items() if c == 0]
@@ -140,7 +152,7 @@ def _cmd_verify(args) -> dict:
     mismatches = [
         {"tr_a": cls, "b": _hex(b)}
         for cls, b in pairs
-        if coset.N_of(field, cls, b) != oracle.brute_N(field, cls, b, jobs=args.jobs)
+        if coset.N_of(field, cls, b) != oracle.brute_N(field, cls, b)
     ]
     payload = {
         "mode": "exhaustive" if exhaustive else "sampled",
@@ -220,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="coset weight invariants of triple-error-correcting BCH codes",
     )
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("BCH3_JOBS", "1")),
-        help="worker count for the exhaustive checks (results are identical for any value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kwargs):
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", help="cross-check the closed form against the exhaustive oracle")
     p.add_argument("--modulus", type=_parse_element, default=None)
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("covering-radius", help="exact covering radius by syndrome BFS")

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, inverse_table, isqrt_floor, parity, trace_mul_table
+from .gf2m import FieldSpec, inverse_table, isqrt_floor, parity, power_table, trace_mul_table
 
 SUBSETS = {"f1f2": (1, 2), "f3": (3,), "f1f2f3": (1, 2, 3)}
 
@@ -101,9 +101,7 @@ def _family_tables(field: FieldSpec):
     T = trace_mul_table(field)
     inv = inverse_table(field)
     xs = np.arange(q, dtype=np.int64)
-    cube = np.zeros(q, dtype=np.int64)
-    for x in range(q):
-        cube[x] = field.mul(field.square(x), x)
+    cube = power_table(field, 3)
     icube = cube[inv]
 
     psi = {

@@ -7,6 +7,12 @@ the irreducible modulus; elements of different fields are only kept apart
 by passing the right FieldSpec, which is how the bulk numpy kernels can
 share the same integer encoding.
 
+The array kernel is mul_array, a shift-and-reduce product over whole
+int64 arrays.  It builds the per-field log/antilog tables (log_tables),
+and every per-element power table (power_table, inverse_table) is one
+lookup into them, so no per-field setup loops over the q elements in
+Python.
+
 Hex strings ("0x25" for x^5 + x^2 + 1) are the external encoding of both
 elements and moduli.
 """
@@ -50,6 +56,7 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def find_default_modulus(m: int) -> int:
     """Smallest integer encoding of a monic irreducible of degree m."""
     if m < 2:
@@ -191,27 +198,79 @@ def isqrt_floor(n: int) -> int:
     return math.isqrt(n)
 
 
-@lru_cache(maxsize=None)
-def inverse_table(field: FieldSpec) -> np.ndarray:
-    """inv_table[x] = x^-1 for x in F_q^*, with inv_table[0] = 0 as filler.
+def mul_array(field: FieldSpec, a, b) -> np.ndarray:
+    """Elementwise product of two broadcastable int64 arrays of elements.
 
-    Built with one field inversion and 3(q-2) multiplications (running
-    prefix products), which keeps the per-field setup cheap at m = 13.
+    The algorithm of FieldSpec.mul, run on whole arrays: one pass per bit
+    of b, so the loop runs m times whatever the array size.
     """
-    q = field.q
-    xs = list(range(1, q))
-    prefix = [0] * len(xs)
-    acc = 1
-    for i, x in enumerate(xs):
-        acc = field.mul(acc, x)
-        prefix[i] = acc
-    out = np.zeros(q, dtype=np.int64)
-    acc = field.inv(prefix[-1])
-    for i in range(len(xs) - 1, 0, -1):
-        out[xs[i]] = field.mul(acc, prefix[i - 1])
-        acc = field.mul(acc, xs[i])
-    out[1] = 1
-    return out
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    a = a.copy()
+    r = np.zeros(a.shape, dtype=np.int64)
+    for j in range(field.m):
+        r ^= a & -((b >> j) & 1)
+        a <<= 1
+        a ^= (a >> field.m) * field.modulus
+    return r
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 2, by trial division."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def _readonly(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) to the base g, the least primitive element of F_q^*.
+
+    exp[k] = g^k for 0 <= k < q - 1, and log[exp[k]] = k, with log[0] = 0
+    as filler.  g passes the order test g^((q-1)/p) != 1 for every prime p
+    dividing q - 1; x itself need not be primitive (modulus 0x1f at m = 4).
+    exp is filled by doubling, exp[k:2k] = exp[:k] * g^k, in log2(q) passes.
+    """
+    n = field.q - 1
+    primes = _prime_factors(n)
+    g = next(g for g in range(2, field.q) if all(field.pow(g, n // p) != 1 for p in primes))
+    exp = np.ones(n, dtype=np.int64)
+    k, gk = 1, g
+    while k < n:
+        stop = min(2 * k, n)
+        exp[k:stop] = mul_array(field, exp[: stop - k], gk)
+        k, gk = stop, field.mul(gk, gk)
+    log = np.zeros(field.q, dtype=np.int64)
+    log[exp] = np.arange(n, dtype=np.int64)
+    return _readonly(exp), _readonly(log)
+
+
+@lru_cache(maxsize=None)
+def power_table(field: FieldSpec, k: int) -> np.ndarray:
+    """table[x] = x^k for every element x, as a read-only int64 array."""
+    if k < 0:
+        raise ValueError("exponent must be nonnegative")
+    exp, log = log_tables(field)
+    table = exp[log * (k % (field.q - 1)) % (field.q - 1)]
+    table[0] = field.pow(0, k)
+    return _readonly(table)
+
+
+def inverse_table(field: FieldSpec) -> np.ndarray:
+    """inv_table[x] = x^-1 for x in F_q^*, with inv_table[0] = 0 as filler."""
+    return power_table(field, field.q - 2)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, make_field
+from .gf2m import FieldSpec, make_field, power_table
 
 BRUTE_Q_LIMIT = 512
 WEIGHT5_Q_LIMIT = 128
@@ -50,24 +50,19 @@ class SyndromeTriple:
 
 
 @lru_cache(maxsize=None)
-def _power_tables(field: FieldSpec):
-    """x^3 and x^5 for every element, as int64 arrays."""
-    cube = np.zeros(field.q, dtype=np.int64)
-    fifth = np.zeros(field.q, dtype=np.int64)
-    for x in range(field.q):
-        x3 = field.mul(field.mul(x, x), x)
-        cube[x] = x3
-        fifth[x] = field.mul(field.mul(x, x), x3)
-    return cube, fifth
+def weight4_histogram(field: FieldSpec) -> np.ndarray:
+    """count[s3*q + s5] = number of 4-subsets {x1..x4} of F_q with
+    sum xi = 1, sum xi^3 = s3, sum xi^5 = s5.
 
-
-def _count_leading_range(field: FieldSpec, x1_range) -> np.ndarray:
-    """Partial weight-4 histogram from triples whose least element is in
-    x1_range; partitions merge by plain addition."""
+    Enumerates ordered triples x1 < x2 < x3, completes x4 from the linear
+    equation, and keeps x4 > x3 so each unordered 4-set is counted once.
+    """
     q = field.q
-    cube, fifth = _power_tables(field)
+    if q > BRUTE_Q_LIMIT:
+        raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
+    cube, fifth = power_table(field, 3), power_table(field, 5)
     counts = np.zeros(q * q, dtype=np.int64)
-    for x1 in x1_range:
+    for x1 in range(q - 3):
         rest = np.arange(x1 + 1, q, dtype=np.int64)
         i2, i3 = np.triu_indices(len(rest), k=1)
         x2 = rest[i2]
@@ -78,41 +73,11 @@ def _count_leading_range(field: FieldSpec, x1_range) -> np.ndarray:
         s3 = cube[x1] ^ cube[x2] ^ cube[x3] ^ cube[x4]
         s5 = fifth[x1] ^ fifth[x2] ^ fifth[x3] ^ fifth[x4]
         counts += np.bincount(s3 * q + s5, minlength=q * q)
+    counts.flags.writeable = False
     return counts
 
 
-_histogram_cache: dict[FieldSpec, np.ndarray] = {}
-
-
-def weight4_histogram(field: FieldSpec, jobs: int = 1) -> np.ndarray:
-    """count[s3*q + s5] = number of 4-subsets {x1..x4} of F_q with
-    sum xi = 1, sum xi^3 = s3, sum xi^5 = s5.
-
-    Enumerates ordered triples x1 < x2 < x3, completes x4 from the linear
-    equation, and keeps x4 > x3 so each unordered 4-set is counted once.
-    The leading element partitions the work across threads; the merge is
-    additive, so the result is identical for any job count.
-    """
-    q = field.q
-    if q > BRUTE_Q_LIMIT:
-        raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
-    cached = _histogram_cache.get(field)
-    if cached is not None:
-        return cached
-    if jobs <= 1:
-        counts = _count_leading_range(field, range(q - 3))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        slices = [range(start, q - 3, jobs) for start in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(lambda r: _count_leading_range(field, r), slices)
-        counts = sum(parts)
-    _histogram_cache[field] = counts
-    return counts
-
-
-def brute_N(field: FieldSpec, a: int, b: int, jobs: int = 1) -> int:
+def brute_N(field: FieldSpec, a: int, b: int) -> int:
     """Number of 4-subsets of F_q with power sums (1, a, b), by enumeration.
 
     Defined for every (a, b); degenerate parameter choices simply count
@@ -120,7 +85,7 @@ def brute_N(field: FieldSpec, a: int, b: int, jobs: int = 1) -> int:
     """
     field._check(a)
     field._check(b)
-    return int(weight4_histogram(field, jobs=jobs)[a * field.q + b])
+    return int(weight4_histogram(field)[a * field.q + b])
 
 
 def translated_syndrome(field: FieldSpec, a: int, b: int, s: int) -> tuple[int, int]:
@@ -134,7 +99,7 @@ def translated_syndrome(field: FieldSpec, a: int, b: int, s: int) -> tuple[int, 
 def _small_weight_syndromes(field: FieldSpec):
     """Packed syndrome sets reachable by words of weight <= 2 and <= 3."""
     q, m = field.q, field.m
-    cube, fifth = _power_tables(field)
+    cube, fifth = power_table(field, 3), power_table(field, 5)
     xs = np.arange(1, q, dtype=np.int64)
     packed = xs | cube[1:] << m | fifth[1:] << 2 * m
     pairs = (packed[:, None] ^ packed[None, :]).ravel()
@@ -182,7 +147,7 @@ def weight5_all_solvable(field: FieldSpec) -> bool:
     sit in the subfield F_4 and the group is the 2^10-element span.
     """
     reached = weight5_reached(field)
-    cube, fifth = _power_tables(field)
+    cube, fifth = power_table(field, 3), power_table(field, 5)
     xs = np.arange(1, field.q, dtype=np.int64)
     gens = xs | cube[1:] << field.m | fifth[1:] << 2 * field.m
     return len(reached) == 1 << _f2_rank(gens)
@@ -231,7 +196,7 @@ def covering_radius(m: int, allow_large: bool = False, chunk: int = 1 << 15) -> 
 
     field = make_field(m)
     q = field.q
-    cube, fifth = _power_tables(field)
+    cube, fifth = power_table(field, 3), power_table(field, 5)
     xs = np.arange(1, q, dtype=np.int64)
     gens = xs | cube[1:] << m | fifth[1:] << 2 * m
 

@@ -157,13 +157,22 @@ class TestFormatsAndErrors:
         second.pop("elapsed_s")
         assert first == second
 
-    def test_jobs_does_not_change_payload(self, capsys):
-        _, one = run_json(capsys, "--jobs", "1", "verify", "--m", "5", "--exhaustive")
-        _, two = run_json(capsys, "--jobs", "2", "verify", "--m", "5", "--exhaustive")
-        assert one["payload"] == two["payload"]
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_nonpositive_samples_is_usage_error(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--m", "9", "--samples", samples])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("BCH3_JOBS", "2")
-        parser = cli.build_parser()
-        args = parser.parse_args(["field", "--m", "5"])
-        assert args.jobs == 2
+    def test_missing_gamma_file_exit_one(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-profile.txt"
+        assert cli.main(["gamma", "--m", "13", "--gamma-file", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_unreadable_gamma_file_exit_one(self, capsys, tmp_path):
+        assert cli.main(["gamma", "--m", "13", "--gamma-file", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -8,8 +8,11 @@ from bch3.gf2m import (
     inverse_table,
     is_irreducible,
     isqrt_floor,
+    log_tables,
     make_field,
+    mul_array,
     parity,
+    power_table,
     trace_mul_table,
 )
 from conftest import trace_by_definition
@@ -201,3 +204,49 @@ class TestKernelTables:
         for a in range(f5.q):
             for u in (1, 2, 17, 30):
                 assert f5.trace(f5.mul(a, u)) == (a & int(table[u])).bit_count() % 2
+
+
+def _kernel_fields():
+    """Default fields m = 2..13, two fresh moduli at m = 9 and 11, and
+    0x1f at m = 4, where x has order 5 and so is not primitive."""
+    fields = [make_field(m) for m in range(2, 14)]
+    for m in (9, 11):
+        default = find_default_modulus(m)
+        fresh = [p for p in range(default + 1, 1 << (m + 1)) if is_irreducible(p)][:2]
+        fields += [make_field(m, p) for p in fresh]
+    fields.append(make_field(4, 0x1F))
+    return fields
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("field", _kernel_fields(), ids=lambda f: f"m{f.m}-0x{f.modulus:x}")
+    def test_power_tables_match_scalar_pow(self, field):
+        for k in (3, 5, field.q - 2):
+            table = power_table(field, k)
+            assert table.dtype == np.int64
+            assert table.tolist() == [field.pow(x, k) for x in range(field.q)]
+        inv = inverse_table(field)
+        assert inv[0] == 0
+        assert inv[1:].tolist() == [field.inv(x) for x in range(1, field.q)]
+
+    @pytest.mark.parametrize("field", _kernel_fields(), ids=lambda f: f"m{f.m}-0x{f.modulus:x}")
+    def test_log_tables_invert_each_other(self, field):
+        exp, log = log_tables(field)
+        assert sorted(exp.tolist()) == list(range(1, field.q))
+        assert np.array_equal(log[exp], np.arange(field.q - 1))
+
+    def test_mul_array_all_pairs(self, f5):
+        xs = np.arange(f5.q, dtype=np.int64)
+        products = mul_array(f5, xs[:, None], xs[None, :])
+        expected = [[f5.mul(a, b) for b in range(f5.q)] for a in range(f5.q)]
+        assert products.tolist() == expected
+
+    def test_power_table_edge_exponents(self, f5):
+        assert power_table(f5, 0).tolist() == [1] * f5.q
+        assert power_table(f5, f5.q - 1).tolist() == [0] + [1] * (f5.q - 1)
+        with pytest.raises(ValueError):
+            power_table(f5, -1)
+
+    def test_tables_are_read_only(self, f5):
+        with pytest.raises(ValueError):
+            power_table(f5, 3)[2] = 0

@@ -1,11 +1,9 @@
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bch3 import oracle
 from bch3.gf2m import make_field
 from bch3.oracle import (
     SyndromeTriple,
@@ -73,13 +71,6 @@ class TestBruteN:
         field = make_field(7)
         ta, tb = translated_syndrome(field, a, b, s)
         assert brute_N(field, a, b) == brute_N(field, ta, tb)
-
-    def test_jobs_partition_merges_identically(self, f5):
-        whole = oracle._count_leading_range(f5, range(f5.q - 3))
-        split = sum(
-            oracle._count_leading_range(f5, range(start, f5.q - 3, 3)) for start in range(3)
-        )
-        assert np.array_equal(whole, split)
 
 
 class TestWeight5:
