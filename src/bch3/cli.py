@@ -44,7 +44,6 @@ def _profile_payload(profile: curves.TraceProfile, params: curves.CurveParams) -
         "t5": profile.t5,
         "tg": profile.tg,
         "t_combined": profile.t_combined,
-        "t_prym": profile.t_prym,
     }
 
 
@@ -161,7 +160,7 @@ def _cmd_verify(args) -> dict:
         "mismatches": mismatches,
     }
     if args.m in (5, 7):
-        boundary = coset.calibrate_boundary(args.m)
+        boundary = coset.calibrate_boundary(args.m, args.modulus)
         payload["boundary"] = {str(cls): v for cls, v in boundary.items()}
     if mismatches:
         raise DomainFailure("oracle disagreement", payload)

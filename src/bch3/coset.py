@@ -24,11 +24,6 @@ from .gf2m import FieldSpec, isqrt_floor, make_field
 
 SUPPORTED_M = (5, 7, 9, 11, 13)
 
-# Fixed-point scale for the single irrational bound term 4*sqrt(2).
-_SCALE = 10**6
-_FOUR_SQRT2 = 5656854  # floor(4*sqrt(2) * 1e6)
-_EVEN_GUARD = 24 * _SCALE // 1000  # endpoints must clear even integers by 1e-3
-
 
 def _require_odd(m: int) -> None:
     if m % 2 == 0:
@@ -46,17 +41,19 @@ def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
         raise DegenerateLambdaError(
             f"b=0x{b:x} gives lam=0: the coset family degenerates into twelve lines"
         )
-    n = [curves.n_count(field, i, lam, 0) for i in range(1, 8)]
-    return _combine(field.q, trace_class_a, n)
+    return int(_invariant(field.q, trace_class_a, curves.n_counts_all(field)[:, lam]))
 
 
-def _combine(q: int, trace_class_a: int, n) -> int:
+def _invariant(q: int, trace_class_a: int, n) -> np.ndarray:
+    """The invariant from offset-free counts n[0..6] (one column or a
+    whole table of columns), checked to sit on the even part of its
+    lattice."""
     if trace_class_a == 0:
         num = 2 * q - 2 - 2 * (n[0] + n[1] + n[2] - n[3] - n[4] - n[5] + n[6])
     else:
-        num = -6 * q - 2 + 2 * sum(n[:7])
-    if num % 24 or num < 0 or (num // 24) % 2:
-        raise AssertionError(f"invariant left its lattice: numerator {num}")
+        num = -6 * q - 2 + 2 * n.sum(axis=0)
+    if (num % 24).any() or (num < 0).any() or (num // 24 % 2).any():
+        raise AssertionError("invariant left its lattice")
     return num // 24
 
 
@@ -110,17 +107,9 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     field = make_field(m, modulus)
     q = field.q
     counts = curves.n_counts_all(field)[:, 1:]  # drop the lam = 0 column
-    n1, n2, n3, n4, n5, n6, n7 = (counts[i] for i in range(7))
-    num0 = 2 * q - 2 - 2 * (n1 + n2 + n3 - n4 - n5 - n6 + n7)
-    num1 = -6 * q - 2 + 2 * counts.sum(axis=0)
     per_class = []
-    for num in (num0, num1):
-        if (num % 24).any() or (num < 0).any():
-            raise AssertionError("invariant left its lattice")
-        values = num // 24
-        if (values & 1).any():
-            raise AssertionError("invariant must be even")
-        hist = np.bincount(values)
+    for cls in (0, 1):
+        hist = np.bincount(_invariant(q, cls, counts))
         per_class.append({int(v): int(c) for v, c in enumerate(hist) if c})
     merged: dict[int, int] = {}
     for hist in per_class:
@@ -179,24 +168,20 @@ def refined_even_interval(m: int) -> tuple[int, int]:
 
 
 def heuristic_even_interval(m: int) -> tuple[int, int]:
-    """Smallest even-endpoint interval containing the heuristic enclosure.
+    """Smallest even-endpoint interval containing the heuristic enclosure
+    [(q - 4t - s + 4 + 4*sqrt(2))/24, (q + 4t + s + 14 + 4*sqrt(2))/24].
 
-    The lone irrational term 4*sqrt(2) is carried in fixed point at 1e-6
-    resolution; endpoints stay more than 1e-3 away from even integers for
-    every supported q, which is asserted before rounding.
+    4*sqrt(2) = sqrt(32) is irrational with 5 < sqrt(32) < 6, so for an
+    integer c, floor(c + sqrt(32)) = c + 5 and ceil(c + sqrt(32)) = c + 6;
+    the rounding is exact integer arithmetic for every m.
     """
     _require_odd(m)
     q = 1 << m
     t = isqrt_floor(4 * q)
     s = 1 << ((m + 3) // 2)
-    den = 24 * _SCALE
-    lo_num = (q - 4 * t - s + 4) * _SCALE + _FOUR_SQRT2
-    hi_num = (q + 4 * t + s + 14) * _SCALE + _FOUR_SQRT2
-    for num in (lo_num, hi_num):
-        r = num % (2 * den)
-        if min(r, 2 * den - r) <= _EVEN_GUARD:
-            raise AssertionError("endpoint too close to an even integer to round safely")
-    return max(_even_floor(lo_num, den), 0), _even_ceil(hi_num, den)
+    lo = _even_floor(q - 4 * t - s + 4 + 5, 24)
+    hi = _even_ceil(q + 4 * t + s + 14 + 6, 24)
+    return max(lo, 0), hi
 
 
 def bounds(m: int) -> BoundReport:
@@ -256,7 +241,7 @@ def gamma_report(m: int, gamma, table: DistributionTable | None = None) -> Gamma
     return GammaReport(histogram=histogram, gamma=gamma, residual=residual)
 
 
-def calibrate_boundary(m: int) -> dict[int, int]:
+def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:
     """Constant linking the combined trace to the invariant, per class.
 
     For every valid B the quantity q + 1 - t_combined - 24*N must come out
@@ -266,7 +251,7 @@ def calibrate_boundary(m: int) -> dict[int, int]:
     """
     if m not in (5, 7):
         raise ValueError("calibration runs on the oracle-sized fields m=5 and m=7")
-    field = make_field(m)
+    field = make_field(m, modulus)
     q = field.q
     out: dict[int, int] = {}
     for cls in (0, 1):

@@ -5,11 +5,13 @@ y^2 + y = f(x) of the x-line, where f runs over seven combinations of
 
     phi1 = lam*(x^3 + x),  phi2 = lam*(1/x^3 + 1/x),  phi3 = lam*(x + 1/x),
 
-their pairwise sums and the triple sum.  Constant offsets with trace 1
-only flip which x count toward a fibre total, so they are carried as a
-parity bit instead of field additions; that turns every count into a
-popcount parity over precomputed masks and lets one pass over the field
-serve all parameters.
+their pairwise sums and the triple sum, plus g = lam*x^3 + 1/x.  Every
+count comes from one cached, read-only table per field (_count_table):
+row i-1 holds n_i(lam) for all lam at once and row 7 the count for g,
+each from one Walsh-Hadamard transform of a mask histogram.  Constant
+offsets with trace 1 only flip which x count toward a fibre total, so
+they are read as q - 1 - n; splitting counts are inclusion-exclusion over
+the same rows, because phi4..phi7 are the sums of phi1..phi3.
 """
 
 from __future__ import annotations
@@ -70,57 +72,63 @@ class TraceProfile:
     t5: int
     tg: int
     t_combined: int
-    t_prym: int
 
 
-def phi_eval(field: FieldSpec, i: int, x: int, lam: int) -> int:
-    """Value of the i-th constant-free family function at x != 0."""
-    if not 1 <= i <= 7:
-        raise ValueError(f"function index must be in 1..7, got {i}")
-    if x == 0:
-        raise ZeroDivisionError("the family functions have a pole at x = 0")
-    field._check(x)
-    field._check(lam)
-    x3 = field.mul(field.square(x), x)
-    ix = field.inv(x)
-    ix3 = field.mul(field.square(ix), ix)
-    parts = {1: x3 ^ x, 2: ix3 ^ ix, 3: x ^ ix}
-    acc = 0
-    for k, bit in ((1, i in (1, 4, 5, 7)), (2, i in (2, 4, 6, 7)), (3, i in (3, 5, 6, 7))):
-        if bit:
-            acc ^= parts[k]
-    return field.mul(lam, acc)
+# Function index of the sum of phi1, phi2, phi3 selected by bits 0, 1, 2.
+_INDEX_OF_BITS = (0, 1, 2, 4, 3, 5, 6, 7)
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of each row, in place, with the
+    (-1)^popcount(i & j) kernel."""
+    rows, n = a.shape
+    # One scratch buffer for all stages: fresh per-stage temporaries of this
+    # size page-fault in a cold process and doubled the cold build time.
+    diff = np.empty((rows, n // 2), dtype=a.dtype)
+    h = 1
+    while h < n:
+        v = a.reshape(rows, -1, 2, h)
+        x, y = v[:, :, 0, :], v[:, :, 1, :]
+        d = diff.reshape(rows, -1, h)
+        np.subtract(x, y, out=d)
+        x += y
+        y[...] = d
+        h *= 2
+    return a
 
 
 @lru_cache(maxsize=None)
-def _family_tables(field: FieldSpec):
-    """Per-field mask tables: bit masks M with trace(lam * psi_i(x)) =
-    parity(lam & M[i][x]) for x in F_q^*, plus the pieces for g = lam*x^3 + 1/x.
+def _count_table(field: FieldSpec) -> np.ndarray:
+    """Read-only int64 table of shape (8, q): row i-1 is n_i(lam) =
+    #{x in F_q^* : trace(phi_i(x)) = 0}, row 7 is the count for
+    g = lam*x^3 + 1/x.  Column lam = 0 is filler.
+
+    With masks M such that trace(lam * psi(x)) = parity(lam & M[x]), the
+    Walsh-Hadamard transform of the mask histogram evaluates
+    sum_x (-1)^trace(lam*psi(x)) for every lam at once, exact in int64.
+    The masks exist only while the table is built.
     """
     q = field.q
     T = trace_mul_table(field)
     inv = inverse_table(field)
     xs = np.arange(q, dtype=np.int64)
     cube = power_table(field, 3)
-    icube = cube[inv]
-
-    psi = {
-        1: cube ^ xs,
-        2: icube ^ inv,
-        3: xs ^ inv,
-    }
-    psi[4] = psi[1] ^ psi[2]
-    psi[5] = psi[1] ^ psi[3]
-    psi[6] = psi[2] ^ psi[3]
-    psi[7] = psi[1] ^ psi[2] ^ psi[3]
-
-    masks = np.zeros((8, q - 1), dtype=np.int64)
-    for i in range(1, 8):
-        masks[i] = T[psi[i][1:]]
-    # Row 0 drives g: trace(lam*x^3 + 1/x) = parity(lam & T[x^3]) xor trace(1/x).
-    masks[0] = T[cube[1:]]
-    g_shift = parity(inv[1:] & field.trace_mask)
-    return masks, g_shift
+    # trace_mul_table is linear, so the masks of phi4..phi7 are sums of these.
+    m1, m2, m3 = (T[psi[1:]] for psi in (cube ^ xs, cube[inv] ^ inv, xs ^ inv))
+    sums = np.empty((8, q), dtype=np.int64)
+    for row, masks in enumerate((m1, m2, m3, m1 ^ m2, m1 ^ m3, m2 ^ m3, m1 ^ m2 ^ m3)):
+        sums[row] = np.bincount(masks, minlength=q)
+    # trace(lam*x^3 + 1/x) = parity(lam & T[x^3]) xor trace(1/x): sign each
+    # x by its constant term.
+    masks = T[cube[1:]]
+    flip = parity(inv[1:] & field.trace_mask).astype(bool)
+    sums[7] = np.bincount(masks[~flip], minlength=q) - np.bincount(masks[flip], minlength=q)
+    _fwht(sums)
+    if ((sums ^ (q - 1)) & 1).any():
+        raise AssertionError("character sums must match the count parity")
+    table = (q - 1 + sums) >> 1
+    table.flags.writeable = False
+    return table
 
 
 def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
@@ -136,8 +144,8 @@ def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
     field._check(lam)
     if lam == 0:
         raise DegenerateLambdaError("lam=0 has no associated curves")
-    masks, _ = _family_tables(field)
-    return int(np.count_nonzero(parity(lam & masks[i]) == offset_bit))
+    n = int(_count_table(field)[i - 1, lam])
+    return field.q - 1 - n if offset_bit else n
 
 
 def g_count(field: FieldSpec, lam: int) -> int:
@@ -145,8 +153,7 @@ def g_count(field: FieldSpec, lam: int) -> int:
     field._check(lam)
     if lam == 0:
         raise DegenerateLambdaError("lam=0 has no associated curves")
-    masks, g_shift = _family_tables(field)
-    return int(np.count_nonzero((parity(lam & masks[0]) ^ g_shift) == 0))
+    return int(_count_table(field)[7, lam])
 
 
 def curve_traces(params: CurveParams) -> TraceProfile:
@@ -162,14 +169,15 @@ def curve_traces(params: CurveParams) -> TraceProfile:
         raise ValueError("trace derivation requires odd extension degree")
     q = field.q
     off = params.trace_class_a ^ 1  # trace of the constant A+1 for odd m
+    *counts, g = _count_table(field)[:, params.lam].tolist()
     offsets = (off, off, off, 0, 0, 0, off)
-    n = tuple(n_count(field, i, params.lam, offsets[i - 1]) for i in range(1, 8))
+    n = tuple(q - 1 - c if o else c for c, o in zip(counts, offsets))
     # x = 0 lies on the polynomial cover; its fibre splits iff the constant
     # has trace zero.
     t1 = q - 2 * (n[0] + (1 - off))
     t3 = q - 1 - 2 * n[2]
     t5 = q - 1 - 2 * n[4]
-    tg = q - 1 - 2 * g_count(field, params.lam)
+    tg = q - 1 - 2 * g
     return TraceProfile(
         n=n,
         t1=t1,
@@ -177,23 +185,39 @@ def curve_traces(params: CurveParams) -> TraceProfile:
         t5=t5,
         tg=tg,
         t_combined=2 * t1 + 2 * t3 + 2 * t5 + tg,
-        t_prym=0,
     )
 
 
 def split_count(subset: str, params: CurveParams) -> int:
     """Number of pairs (x, 1/x), x not in {0, 1}, whose fibres split
-    completely in every cover named by subset."""
+    completely in every cover named by subset.
+
+    The indicator of trace(phi_i(x)) = off is (1 + (-1)^off * e_i(x))/2
+    with e_i(x) = (-1)^trace(phi_i(x)).  Expanding the product over the
+    subset S and summing over F_q^* gives
+
+        2^-|S| * sum over U subset of S of (-1)^(|U|*off) * chi_U,
+
+    where phi_U is the sum of the phi_i in U (one of phi1..phi7),
+    chi_U = 2*n_U - (q - 1) from its count, and chi of the empty U is
+    q - 1.  x = 1, where every phi_i vanishes, is then taken out.
+    """
     if subset not in SUBSETS:
         raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
     field = params.field
-    masks, _ = _family_tables(field)
+    q = field.q
     off = params.trace_class_a ^ 1
-    good = np.ones(field.q - 1, dtype=bool)
-    for i in SUBSETS[subset]:
-        good &= parity(params.lam & masks[i]) == off
-    good[0] = False  # x = 1 sits at index 0 of the F_q^* range
-    total = int(np.count_nonzero(good))
+    counts = _count_table(field)[:, params.lam].tolist()
+    chosen = sum(1 << (i - 1) for i in SUBSETS[subset])
+    acc = 0
+    for bits in range(8):
+        if bits & ~chosen == 0:
+            chi = 2 * counts[_INDEX_OF_BITS[bits] - 1] - (q - 1) if bits else q - 1
+            acc += -chi if off and bin(bits).count("1") % 2 else chi
+    width = 1 << len(SUBSETS[subset])
+    if acc % width:
+        raise AssertionError("inclusion-exclusion must give a whole count")
+    total = acc // width - (1 - off)
     if total % 2:
         raise AssertionError("split set must pair up under x -> 1/x")
     return total // 2
@@ -220,80 +244,8 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
     return max(lo, 0.0), hi
 
 
-def iso_check_f5_g(field: FieldSpec, lam: int) -> int:
-    """1 iff the x -> lam*x substitution identity holds at lam: the count
-    for lam*(x^3 + 1/x) equals the count for lam^4*x^3 + 1/x."""
-    if field.m % 2 == 0:
-        raise ValueError("identity is stated for odd extension degree")
-    field._check(lam)
-    if lam == 0:
-        raise DegenerateLambdaError("lam=0 has no associated curves")
-    lam4 = field.pow(lam, 4)
-    return int(n_count(field, 5, lam, 0) == g_count(field, lam4))
-
-
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform with the (-1)^popcount(i & j) kernel."""
-    n = len(a)
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(n)
-        h *= 2
-    return a
-
-
 def n_counts_all(field: FieldSpec) -> np.ndarray:
-    """All seven counts for every lam at once: result[i-1][lam] = n_i(lam).
-
-    The mask histograms are Walsh-Hadamard transformed, which evaluates
-    sum_x (-1)^trace(lam*psi_i(x)) for every lam simultaneously; exact in
-    int64.  Column lam = 0 is filler.
+    """All seven counts for every lam at once: result[i-1][lam] = n_i(lam),
+    a read-only view of the per-field table.  Column lam = 0 is filler.
     """
-    q = field.q
-    masks, _ = _family_tables(field)
-    out = np.zeros((7, q), dtype=np.int64)
-    for i in range(1, 8):
-        hist = np.bincount(masks[i], minlength=q)
-        s = _fwht(hist.astype(np.int64))
-        if ((s ^ (q - 1)) & 1).any():
-            raise AssertionError("character sums must match the count parity")
-        out[i - 1] = (q - 1 + s) >> 1
-    return out
-
-
-def write_profile_fixture(path, field: FieldSpec, lams=None) -> None:
-    """TSV of constant-free counts and traces per lam: columns
-    m, modulus, lambda, n1..n7, t1, t3, t5, tg (hex elements, decimal counts)."""
-    q = field.q
-    if lams is None:
-        lams = range(1, q)
-    rows = ["m\tmodulus\tlambda\tn1\tn2\tn3\tn4\tn5\tn6\tn7\tt1\tt3\tt5\ttg"]
-    for lam in lams:
-        n = [n_count(field, i, lam, 0) for i in range(1, 8)]
-        t1 = q - 2 * (n[0] + 1)
-        t3 = q - 1 - 2 * n[2]
-        t5 = q - 1 - 2 * n[4]
-        tg = q - 1 - 2 * g_count(field, lam)
-        cells = [str(field.m), f"0x{field.modulus:x}", f"0x{lam:x}"]
-        cells += [str(v) for v in n] + [str(t1), str(t3), str(t5), str(tg)]
-        rows.append("\t".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
-def read_profile_fixture(path) -> list[dict]:
-    """Rows of a profile fixture as dicts with int values."""
-    with open(path) as fh:
-        header = fh.readline().strip().split("\t")
-        rows = []
-        for line in fh:
-            cells = line.strip().split("\t")
-            row = dict(zip(header, cells))
-            for key, value in row.items():
-                row[key] = int(value, 16) if value.startswith("0x") else int(value)
-            rows.append(row)
-    return rows
+    return _count_table(field)[:7]

@@ -24,31 +24,6 @@ BFS_DEFAULT_MAX_M = 7
 BFS_ABSOLUTE_MAX_M = 9
 
 
-@dataclass(frozen=True)
-class SyndromeTriple:
-    """Power sums (sum x, sum x^3, sum x^5) of a word's support.
-
-    Componentwise xor matches taking the symmetric difference of
-    supports, so these triples form a group under (+).
-    """
-
-    s1: int
-    s3: int
-    s5: int
-
-    def __xor__(self, other: "SyndromeTriple") -> "SyndromeTriple":
-        return SyndromeTriple(self.s1 ^ other.s1, self.s3 ^ other.s3, self.s5 ^ other.s5)
-
-    def pack(self, m: int) -> int:
-        """3m-bit index: s1 in the low bits, then s3, then s5."""
-        return self.s1 | self.s3 << m | self.s5 << 2 * m
-
-    @staticmethod
-    def unpack(index: int, m: int) -> "SyndromeTriple":
-        mask = (1 << m) - 1
-        return SyndromeTriple(index & mask, index >> m & mask, index >> 2 * m & mask)
-
-
 @lru_cache(maxsize=None)
 def weight4_histogram(field: FieldSpec) -> np.ndarray:
     """count[s3*q + s5] = number of 4-subsets {x1..x4} of F_q with
@@ -88,13 +63,6 @@ def brute_N(field: FieldSpec, a: int, b: int) -> int:
     return int(weight4_histogram(field)[a * field.q + b])
 
 
-def translated_syndrome(field: FieldSpec, a: int, b: int, s: int) -> tuple[int, int]:
-    """Image of (a, b) under the solution translation x_i -> x_i + s."""
-    s2 = field.square(s)
-    s4 = field.square(s2)
-    return a ^ s ^ s2, b ^ s ^ s4
-
-
 @lru_cache(maxsize=None)
 def _small_weight_syndromes(field: FieldSpec):
     """Packed syndrome sets reachable by words of weight <= 2 and <= 3."""
@@ -119,7 +87,7 @@ def weight5_solvable(field: FieldSpec, a: int, b: int, c: int) -> int:
     field._check(a)
     field._check(b)
     field._check(c)
-    target = SyndromeTriple(a, b, c).pack(field.m)
+    target = a | b << field.m | c << 2 * field.m
     upto2, _, upto3_set = _small_weight_syndromes(field)
     return int(any(int(target ^ u) in upto3_set for u in upto2))
 

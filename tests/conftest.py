@@ -74,3 +74,18 @@ def g_count_slow(field: FieldSpec, lam: int) -> int:
         value = field.mul(lam, field.mul(field.mul(x, x), x)) ^ field.inv(x)
         count += trace_by_definition(field, value) == 0
     return count
+
+
+def read_profile_fixture(path) -> list[dict]:
+    """Rows of a profile fixture as dicts with int values (hex cells are
+    field elements, the rest decimal counts)."""
+    with open(path) as fh:
+        header = fh.readline().strip().split("\t")
+        rows = []
+        for line in fh:
+            cells = line.strip().split("\t")
+            row = dict(zip(header, cells))
+            for key, value in row.items():
+                row[key] = int(value, 16) if value.startswith("0x") else int(value)
+            rows.append(row)
+    return rows

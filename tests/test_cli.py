@@ -62,7 +62,6 @@ class TestCommands:
         for cls in (0, 1):
             profile = payload[f"tr_a_{cls}"]
             assert len(profile["n"]) == 7
-            assert profile["t_prym"] == 0
 
     def test_split(self, capsys):
         code, report = run_json(
@@ -80,6 +79,20 @@ class TestCommands:
         assert payload["checked"] == 62
         assert payload["mismatches"] == []
         assert payload["boundary"] == {"0": 0, "1": 12}
+
+    def test_verify_calibrates_the_given_field(self, capsys, monkeypatch):
+        seen = []
+        calibrate = cli.coset.calibrate_boundary
+
+        def spy(m, modulus=None):
+            seen.append(modulus)
+            return calibrate(m, modulus)
+
+        monkeypatch.setattr(cli.coset, "calibrate_boundary", spy)
+        code, report = run_json(capsys, "verify", "--m", "7", "--modulus", "0x89")
+        assert code == 0
+        assert seen == [0x89]
+        assert report["payload"]["boundary"] == {"0": 0, "1": 12}
 
     def test_verify_sampled_is_seeded(self, capsys):
         code, first = run_json(capsys, "verify", "--m", "9", "--samples", "5")

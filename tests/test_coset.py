@@ -1,3 +1,5 @@
+import decimal
+import math
 import random
 from collections import Counter
 
@@ -165,9 +167,27 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds(6)
 
-    @pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
+    @staticmethod
+    def heuristic_endpoints(m):
+        """The heuristic enclosure (q -+ 4t -+ s + {4, 14} + 4*sqrt(2))/24,
+        with 4*sqrt(2) carried to 50 digits."""
+        q = 1 << m
+        t = math.isqrt(4 * q)
+        s = 1 << ((m + 3) // 2)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            root = decimal.Decimal(32).sqrt()
+            return (q - 4 * t - s + 4 + root) / 24, (q + 4 * t + s + 14 + root) / 24
+
+    @pytest.mark.parametrize("m", range(5, 62, 2))
     def test_rounding_never_ambiguous(self, m):
-        heuristic_even_interval(m)  # raises if an endpoint sits near an even integer
+        # exact integer endpoints against the 50-digit irrational enclosure:
+        # the smallest even-endpoint interval holding it, clamped at 0
+        lo, hi = heuristic_even_interval(m)
+        real_lo, real_hi = self.heuristic_endpoints(m)
+        assert lo % 2 == 0 and hi % 2 == 0
+        assert lo <= real_lo < lo + 2 or (lo == 0 and real_lo < 0)
+        assert hi - 2 < real_hi <= hi
 
 
 class TestGammaReport:
@@ -204,6 +224,7 @@ class TestCalibration:
     def test_constants(self):
         assert calibrate_boundary(5) == {0: 0, 1: 12}
         assert calibrate_boundary(7) == {0: 0, 1: 12}
+        assert calibrate_boundary(7, 0x89) == {0: 0, 1: 12}
 
     def test_unsupported_m(self):
         with pytest.raises(ValueError):

@@ -8,16 +8,14 @@ from bch3.curves import (
     curve_params,
     curve_traces,
     g_count,
-    iso_check_f5_g,
     lambda_of,
     n_count,
     n_counts_all,
-    phi_eval,
     split_count,
     split_interval,
 )
 from bch3.gf2m import isqrt_floor, make_field
-from conftest import g_count_slow, n_count_slow, phi_by_hand
+from conftest import g_count_slow, n_count_slow, phi_by_hand, read_profile_fixture, trace_by_definition
 
 FIXTURE = Path(__file__).parent / "data" / "trace_profiles_m5.tsv"
 
@@ -43,33 +41,33 @@ class TestLambda:
 
 
 class TestPhiEval:
-    def test_pole_at_zero(self, f5):
-        with pytest.raises(ZeroDivisionError):
-            phi_eval(f5, 1, 0, 1)
-
-    def test_bad_index(self, f5):
-        with pytest.raises(ValueError):
-            phi_eval(f5, 8, 1, 1)
+    """The family functions, through the reference evaluation phi_by_hand."""
 
     def test_phi3_vanishes_at_one(self, f5):
-        assert all(phi_eval(f5, 3, 1, lam) == 0 for lam in range(f5.q))
+        assert all(phi_by_hand(f5, 3, 1, lam) == 0 for lam in range(f5.q))
 
     def test_inversion_swaps_phi1_phi2(self, f5):
         for x in range(1, f5.q):
-            assert phi_eval(f5, 1, x, 9) == phi_eval(f5, 2, f5.inv(x), 9)
+            assert phi_by_hand(f5, 1, x, 9) == phi_by_hand(f5, 2, f5.inv(x), 9)
 
     def test_cancellation_identities(self, f5):
         # phi5 = lam*(x^3 + 1/x) and phi7 = lam*(x^3 + 1/x^3)
         for x in range(1, f5.q):
             inv3 = f5.pow(f5.inv(x), 3)
             cube = f5.pow(x, 3)
-            assert phi_eval(f5, 5, x, 11) == f5.mul(11, cube ^ f5.inv(x))
-            assert phi_eval(f5, 7, x, 11) == f5.mul(11, cube ^ inv3)
+            assert phi_by_hand(f5, 5, x, 11) == f5.mul(11, cube ^ f5.inv(x))
+            assert phi_by_hand(f5, 7, x, 11) == f5.mul(11, cube ^ inv3)
 
     def test_matches_termwise_reference(self, f7):
+        # phi4..phi7 are the sums of phi1..phi3 that the count table and
+        # split_count index by bit pattern
         for x in (1, 2, 77, 126):
-            for i in range(1, 8):
-                assert phi_eval(f7, i, x, 13) == phi_by_hand(f7, i, x, 13)
+            for bits in range(1, 8):
+                total = 0
+                for k in range(3):
+                    if bits >> k & 1:
+                        total ^= phi_by_hand(f7, k + 1, x, 13)
+                assert phi_by_hand(f7, curves._INDEX_OF_BITS[bits], x, 13) == total
 
 
 class TestCounts:
@@ -87,7 +85,7 @@ class TestCounts:
             assert g_count(f5, lam) == g_count_slow(f5, lam)
 
     def test_frozen_fixture(self, f5):
-        rows = curves.read_profile_fixture(FIXTURE)
+        rows = read_profile_fixture(FIXTURE)
         assert len(rows) == f5.q - 1
         for row in rows:
             assert row["m"] == 5 and row["modulus"] == f5.modulus
@@ -103,11 +101,6 @@ class TestCounts:
         # frozen by exhaustive enumeration over the 31 nonzero x
         assert n_count(f5, 3, 1, 0) == 21
 
-    def test_fixture_roundtrip(self, tmp_path, f5):
-        path = tmp_path / "profiles.tsv"
-        curves.write_profile_fixture(path, f5, lams=[1, 2, 3])
-        assert curves.read_profile_fixture(path) == curves.read_profile_fixture(FIXTURE)[:3]
-
     @pytest.mark.parametrize("m", [5, 7])
     def test_symmetries(self, m):
         field = make_field(m)
@@ -119,11 +112,19 @@ class TestCounts:
                 assert n[6] == n[2]  # cube map is a bijection for odd m
             assert n_count(field, 4, lam, 0) == g_count(field, lam)
 
-    def test_batched_equals_pointwise(self, f5):
-        table = n_counts_all(f5)
-        for lam in range(1, f5.q):
+    def test_table_is_read_only(self, f5):
+        with pytest.raises(ValueError):
+            curves._count_table(f5)[0, 1] = 0
+        with pytest.raises(ValueError):
+            n_counts_all(f5)[:, 1] = 0
+        assert n_counts_all(f5).shape == (7, f5.q)
+
+    def test_batched_equals_pointwise(self, f7):
+        # the batched table against the per-x reference at a second field size
+        table = n_counts_all(f7)
+        for lam in (1, 2, 45, 100, 127):
             for i in range(1, 8):
-                assert int(table[i - 1, lam]) == n_count(f5, i, lam, 0)
+                assert int(table[i - 1, lam]) == n_count_slow(f7, i, lam, 0)
 
 
 class TestTraceProfiles:
@@ -134,7 +135,6 @@ class TestTraceProfiles:
     def test_profile_shape(self, f5):
         profile = curve_traces(curve_params(f5, 1, 0))
         assert all(0 <= v <= f5.q - 1 for v in profile.n)
-        assert profile.t_prym == 0
         assert profile.t_combined == 2 * profile.t1 + 2 * profile.t3 + 2 * profile.t5 + profile.tg
 
     def test_supersingular_and_weil_ranges(self, f5):
@@ -177,20 +177,23 @@ class TestSplitCounts:
             split_count("f5", curve_params(f5, 0, 0))
 
     def test_direct_enumeration(self, f5):
-        from conftest import trace_by_definition
-
-        for cls in (0, 1):
-            off = cls ^ 1
-            for b in (0, 3, 21):
+        # every valid b at m = 5, both classes: the exact reference for the
+        # inclusion-exclusion over the count table
+        for b in range(f5.q):
+            if b == 1:
+                continue
+            lam = b ^ 1
+            traces = {
+                (i, x): trace_by_definition(f5, phi_by_hand(f5, i, x, lam))
+                for i in (1, 2, 3)
+                for x in range(2, f5.q)
+            }
+            for cls in (0, 1):
+                off = cls ^ 1
                 params = curve_params(f5, cls, b)
                 for subset, idx in curves.SUBSETS.items():
                     direct = sum(
-                        1
-                        for x in range(2, f5.q)
-                        if all(
-                            trace_by_definition(f5, phi_by_hand(f5, i, x, params.lam)) == off
-                            for i in idx
-                        )
+                        1 for x in range(2, f5.q) if all(traces[i, x] == off for i in idx)
                     )
                     assert direct % 2 == 0
                     assert split_count(subset, params) == direct // 2
@@ -218,7 +221,9 @@ class TestIsoCheck:
     @pytest.mark.parametrize("m", [5, 7])
     def test_all_lambdas_pass(self, m):
         field = make_field(m)
-        assert all(iso_check_f5_g(field, lam) == 1 for lam in range(1, field.q))
+        # x -> lam*x turns lam*(x^3 + 1/x) into lam^4*x^3 + 1/x
+        for lam in range(1, field.q):
+            assert n_count(field, 5, lam, 0) == g_count(field, field.pow(lam, 4))
 
     def test_lambda_one_directly(self, f5):
         assert n_count(f5, 5, 1, 0) == g_count(f5, 1)

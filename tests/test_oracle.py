@@ -6,29 +6,44 @@ from hypothesis import strategies as st
 
 from bch3.gf2m import make_field
 from bch3.oracle import (
-    SyndromeTriple,
     brute_N,
     covering_radius,
-    translated_syndrome,
     weight5_all_solvable,
     weight5_reached,
     weight5_solvable,
 )
 
 
+def pack(s1: int, s3: int, s5: int, m: int) -> int:
+    """3m-bit syndrome index, as the oracle packs it: s1 low, then s3, s5."""
+    return s1 | s3 << m | s5 << 2 * m
+
+
+def unpack(index: int, m: int) -> tuple[int, int, int]:
+    mask = (1 << m) - 1
+    return index & mask, index >> m & mask, index >> 2 * m & mask
+
+
+def translated_syndrome(field, a: int, b: int, s: int) -> tuple[int, int]:
+    """Image of (a, b) under the solution translation x_i -> x_i + s."""
+    s2 = field.square(s)
+    s4 = field.square(s2)
+    return a ^ s ^ s2, b ^ s ^ s4
+
+
 class TestSyndromeTriple:
     def test_pack_unpack_roundtrip(self):
-        t = SyndromeTriple(3, 17, 30)
-        assert SyndromeTriple.unpack(t.pack(5), 5) == t
+        assert unpack(pack(3, 17, 30, 5), 5) == (3, 17, 30)
 
     def test_xor_matches_symmetric_difference(self, f5):
+        # xor of packed syndromes is the syndrome of the symmetric difference
         def syndrome(support):
             s1 = s3 = s5 = 0
             for x in support:
                 s1 ^= x
                 s3 ^= f5.pow(x, 3)
                 s5 ^= f5.pow(x, 5)
-            return SyndromeTriple(s1, s3, s5)
+            return pack(s1, s3, s5, f5.m)
 
         a = {3, 7, 19}
         b = {7, 21}
@@ -97,8 +112,7 @@ class TestWeight5:
     def test_pointwise_matches_reached_set(self, f4):
         reached = set(weight5_reached(f4).tolist())
         for packed in (0, 5, 1 << 9, 1 << 11, (1 << 12) - 1):
-            t = SyndromeTriple.unpack(packed, 4)
-            assert weight5_solvable(f4, t.s1, t.s3, t.s5) == (packed in reached)
+            assert weight5_solvable(f4, *unpack(packed, 4)) == (packed in reached)
 
 
 class TestCoveringRadius:
