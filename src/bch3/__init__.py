@@ -7,11 +7,10 @@ exhaustive solver, and derives the code's covering radius by a syndrome
 breadth-first search.
 """
 
-from .gf2m import FieldSpec, find_default_modulus, isqrt_floor, make_field
+from .gf2m import FieldSpec, find_default_modulus, make_field
 
 __all__ = [
     "FieldSpec",
     "find_default_modulus",
-    "isqrt_floor",
     "make_field",
 ]

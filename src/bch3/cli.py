@@ -168,8 +168,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_covering_radius(args) -> dict:
-    report = oracle.covering_radius(args.m, allow_large=args.allow_large)
-    return report.to_json_dict()
+    return oracle.covering_radius(args.m).to_json_dict()
 
 
 class UsageError(Exception):
@@ -272,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = add("covering-radius", help="exact covering radius by syndrome BFS")
-    p.add_argument("--allow-large", action="store_true")
+    add("covering-radius", help="exact covering radius by syndrome BFS (4 <= m <= 9)")
 
     return parser
 

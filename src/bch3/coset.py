@@ -13,6 +13,7 @@ and the trace class of A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import curves
 from .curves import DegenerateLambdaError
-from .gf2m import FieldSpec, isqrt_floor, make_field
+from .gf2m import FieldSpec, make_field
 
 SUPPORTED_M = (5, 7, 9, 11, 13)
 
@@ -142,7 +143,7 @@ def weil_interval(m: int) -> tuple[float, float]:
     """Genus-13 point-count bound scaled to the invariant, clamped at 0."""
     _require_odd(m)
     q = 1 << m
-    t = isqrt_floor(4 * q)
+    t = math.isqrt(4 * q)
     return max((q - 11 - 13 * t) / 24, 0.0), (q + 1 + 13 * t) / 24
 
 
@@ -160,7 +161,7 @@ def refined_even_interval(m: int) -> tuple[int, int]:
     largest even below the upper one.  Exact integer arithmetic."""
     _require_odd(m)
     q = 1 << m
-    t = isqrt_floor(4 * q)
+    t = math.isqrt(4 * q)
     s = 1 << ((m + 3) // 2)  # 2*sqrt(2q), exact for odd m
     lo = max(_even_ceil(q - 11 - s - 8 * t, 24), 0)
     hi = _even_floor(q + 1 + s + 8 * t, 24)
@@ -177,7 +178,7 @@ def heuristic_even_interval(m: int) -> tuple[int, int]:
     """
     _require_odd(m)
     q = 1 << m
-    t = isqrt_floor(4 * q)
+    t = math.isqrt(4 * q)
     s = 1 << ((m + 3) // 2)
     lo = _even_floor(q - 4 * t - s + 4 + 5, 24)
     hi = _even_ceil(q + 4 * t + s + 14 + 6, 24)

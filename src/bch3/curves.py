@@ -16,12 +16,13 @@ the same rows, because phi4..phi7 are the sums of phi1..phi3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, inverse_table, isqrt_floor, parity, power_table, trace_mul_table
+from .gf2m import FieldSpec, inverse_table, parity, power_table, trace_mul_table
 
 SUBSETS = {"f1f2": (1, 2), "f3": (3,), "f1f2f3": (1, 2, 3)}
 
@@ -230,7 +231,7 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
     the small-q formulas dip below it.
     """
     q = field.q
-    t = isqrt_floor(4 * q)
+    t = math.isqrt(4 * q)
     s = 1 << ((field.m + 3) // 2)  # 2*sqrt(2q), exact for odd m
     tr_a1 = trace_class_a ^ 1
     if subset == "f1f2":

@@ -19,7 +19,6 @@ elements and moduli.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -162,40 +161,12 @@ class FieldSpec:
             raise AssertionError("trace left the prime field; modulus is broken")
         return acc
 
-    def artin_schreier_solve(self, c: int):
-        """Least y with y^2 + y = c, or None when no solution exists.
-
-        Solvable exactly when trace(c) = 0; the two solutions then differ
-        by 1.  Odd m uses the closed-form half trace, even m falls back to
-        a scan (even degrees sit outside this package's hot paths).
-        """
-        self._check(c)
-        if self.trace(c):
-            return None
-        if self.m & 1:
-            # Half trace: y = c + c^4 + c^16 + ... + c^(2^(m-1)).
-            y = c
-            s = c
-            for _ in range((self.m - 1) // 2):
-                s = self.square(self.square(s))
-                y ^= s
-        else:
-            y = next(y for y in range(self.q) if self.mul(y, y) ^ y == c)
-        return min(y, y ^ 1)
-
 
 def make_field(m: int, modulus: int | None = None) -> FieldSpec:
     """Validated FieldSpec; picks the default modulus when none is given."""
     if modulus is None:
         modulus = find_default_modulus(m)
     return FieldSpec(m, modulus)
-
-
-def isqrt_floor(n: int) -> int:
-    """Largest r with r*r <= n; the square-bracket operator of the bounds."""
-    if n < 0:
-        raise ValueError("isqrt_floor of a negative number")
-    return math.isqrt(n)
 
 
 def mul_array(field: FieldSpec, a, b) -> np.ndarray:
@@ -291,7 +262,7 @@ def trace_mul_table(field: FieldSpec) -> np.ndarray:
         for j in range(m):
             basis_mask |= trs[j + k] << j
         table[1 << k : 2 << k] = table[0 : 1 << k] ^ basis_mask
-    return table
+    return _readonly(table)
 
 
 def parity(values: np.ndarray) -> np.ndarray:

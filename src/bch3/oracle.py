@@ -1,9 +1,9 @@
 """Exhaustive ground truth for the coset computations.
 
-Three independent checks live here: a brute-force count of weight-4
-words per syndrome (enumerating 4-subsets of the field), a weight-5
-solvability test by meet-in-the-middle over syndrome triples, and the
-exact covering radius via breadth-first search over the syndrome group.
+Two independent checks live here: a brute-force count of weight-4
+words per syndrome (enumerating 4-subsets of the field), and the exact
+covering radius via breadth-first search over the scaling orbits of the
+syndrome group.
 
 None of this shares logic with the curve-side closed forms; it exists so
 the fast pipeline can be validated end to end.
@@ -16,12 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, make_field, power_table
+from .gf2m import FieldSpec, inverse_table, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 512
-WEIGHT5_Q_LIMIT = 128
-BFS_DEFAULT_MAX_M = 7
-BFS_ABSOLUTE_MAX_M = 9
+BFS_MAX_M = 9
+_CHUNK = 1 << 14  # BFS neighbours marked per numpy pass; small passes stay in cache
 
 
 @lru_cache(maxsize=None)
@@ -63,64 +62,6 @@ def brute_N(field: FieldSpec, a: int, b: int) -> int:
     return int(weight4_histogram(field)[a * field.q + b])
 
 
-@lru_cache(maxsize=None)
-def _small_weight_syndromes(field: FieldSpec):
-    """Packed syndrome sets reachable by words of weight <= 2 and <= 3."""
-    q, m = field.q, field.m
-    cube, fifth = power_table(field, 3), power_table(field, 5)
-    xs = np.arange(1, q, dtype=np.int64)
-    packed = xs | cube[1:] << m | fifth[1:] << 2 * m
-    pairs = (packed[:, None] ^ packed[None, :]).ravel()
-    upto2 = np.unique(np.concatenate([np.zeros(1, dtype=np.int64), packed, pairs]))
-    upto3 = np.unique(np.concatenate([upto2, (upto2[:, None] ^ packed[None, :]).ravel()]))
-    return upto2, upto3, set(upto3.tolist())
-
-
-def weight5_solvable(field: FieldSpec, a: int, b: int, c: int) -> int:
-    """1 iff (x1..x5) in F_q^5 exists with power sums (a, b, c).
-
-    Meet in the middle: syndromes of tuples split as weight <= 2 against
-    weight <= 3 (repeats cancel pairwise, zeros contribute nothing).
-    """
-    if field.q > WEIGHT5_Q_LIMIT:
-        raise ValueError(f"q={field.q} is too large for the exhaustive weight-5 search")
-    field._check(a)
-    field._check(b)
-    field._check(c)
-    target = a | b << field.m | c << 2 * field.m
-    upto2, _, upto3_set = _small_weight_syndromes(field)
-    return int(any(int(target ^ u) in upto3_set for u in upto2))
-
-
-def weight5_reached(field: FieldSpec, chunk: int = 1 << 12) -> np.ndarray:
-    """Sorted packed syndromes attainable by five coordinates (weight <= 5).
-
-    Marks a flat boolean table chunk by chunk; the outer product of the
-    two syndrome sets would not fit in memory at q = 128.
-    """
-    if field.q > WEIGHT5_Q_LIMIT:
-        raise ValueError(f"q={field.q} is too large for the exhaustive weight-5 search")
-    upto2, upto3, _ = _small_weight_syndromes(field)
-    hit = np.zeros(1 << (3 * field.m), dtype=bool)
-    for lo in range(0, len(upto3), chunk):
-        hit[(upto3[lo : lo + chunk, None] ^ upto2[None, :]).ravel()] = True
-    return np.flatnonzero(hit)
-
-
-def weight5_all_solvable(field: FieldSpec) -> bool:
-    """Whether every syndrome in the code's syndrome group is reachable
-    at weight <= 5.
-
-    The syndrome group is all of F_q^3 for odd m; for m = 4 fifth powers
-    sit in the subfield F_4 and the group is the 2^10-element span.
-    """
-    reached = weight5_reached(field)
-    cube, fifth = power_table(field, 3), power_table(field, 5)
-    xs = np.arange(1, field.q, dtype=np.int64)
-    gens = xs | cube[1:] << field.m | fifth[1:] << 2 * field.m
-    return len(reached) == 1 << _f2_rank(gens)
-
-
 @dataclass(frozen=True)
 class CoveringRadiusReport:
     """BFS result over the syndrome group: per-depth counts and the radius."""
@@ -145,46 +86,80 @@ def _f2_rank(vectors) -> int:
     return len(basis)
 
 
-def covering_radius(m: int, allow_large: bool = False, chunk: int = 1 << 15) -> CoveringRadiusReport:
+def _orbit_depths(field: FieldSpec) -> np.ndarray:
+    """BFS depth from 0 of every scaling-orbit normal form; -1 if unreached.
+
+    Index s1 << 2m | a << m | b holds the state (s1, a, b) for s1 in {0, 1}:
+    (1, a, b) stands for its whole orbit {(c, c^3 a, c^5 b) : c != 0}, and
+    (0, a, b) for itself (see docs/covering_radius_bfs.md).  A step by the
+    generator of x lands on t = (s1 ^ x, a ^ x^3, b ^ x^5), which is
+    rescaled by 1/(s1 ^ x) unless s1 ^ x = 0.  Every s1 = 0 state found at
+    a depth gets its whole orbit marked at that depth.
+    """
+    m, q, n = field.m, field.q, field.q - 1
+    exp, log = log_tables(field)
+    # scaled[log_of[v] + k] = v * g^k for 0 <= k < n, zero included:
+    # two periods of exp, then the zero block that log_of[0] points into.
+    scaled = np.concatenate([exp, exp, np.zeros(n, dtype=np.int64)])
+    log_of = log.copy()
+    log_of[0] = 2 * n
+    # log of (1/t)^3 and (1/t)^5 per t, and 0 (scale by 1) at t = 0
+    inv_log = log[inverse_table(field)]
+    inv3, inv5 = 3 * inv_log % n, 5 * inv_log % n
+    xs = np.arange(1, q, dtype=np.int64)
+    cube, fifth = power_table(field, 3)[1:], power_table(field, 5)[1:]
+    ks = np.arange(n, dtype=np.int64)
+    k3, k5 = 3 * ks % n, 5 * ks % n
+    rows = max(1, _CHUNK // n)
+
+    depth = np.full(2 * q * q, -1, dtype=np.int8)
+    depth[0] = 0
+    hit = np.zeros(depth.shape, dtype=bool)
+    d = 0
+    while True:
+        hit[:] = False
+        frontier = np.flatnonzero(depth == d)
+        for lo in range(0, len(frontier), rows):
+            state = frontier[lo : lo + rows, None]
+            t = state >> 2 * m ^ xs
+            a = scaled[log_of[state >> m & n ^ cube] + inv3[t]]
+            b = scaled[log_of[state & n ^ fifth] + inv5[t]]
+            hit[(t != 0).astype(np.int64) << 2 * m | a << m | b] = True
+        new = hit & (depth < 0)
+        zero = np.flatnonzero(new[: q * q])
+        for lo in range(0, len(zero), rows):
+            state = zero[lo : lo + rows, None]
+            new[scaled[log_of[state >> m] + k3] << m | scaled[log_of[state & n] + k5]] = True
+        if not new.any():
+            return depth
+        d += 1
+        depth[new] = d
+
+
+def covering_radius(m: int) -> CoveringRadiusReport:
     """Exact covering radius of the length-(2^m - 1) code, by syndrome BFS.
 
     The Cayley graph of the syndrome group under xor with generators
     (x, x^3, x^5) for x in F_q^* has involutive generators, so BFS depth
     from 0 equals the minimum coset weight and the eccentricity of 0 is
-    the covering radius (see docs/covering_radius_bfs.md).  The syndrome
+    the covering radius.  Scaling x -> c*x permutes the generators, so the
+    BFS runs on its orbits (see docs/covering_radius_bfs.md).  The syndrome
     group is the F_2-span of the generators: all of F_q^3 for odd m, but
     a proper subgroup when fifth powers collapse into a subfield (m = 4).
     """
-    if m < 4:
-        raise ValueError("the covering radius statement starts at m = 4")
-    if m > BFS_ABSOLUTE_MAX_M:
-        raise ValueError(f"m={m} needs more than 2^{3 * BFS_ABSOLUTE_MAX_M} bits of state")
-    if m > BFS_DEFAULT_MAX_M and not allow_large:
-        raise ValueError(f"m={m} is a slow, memory-hungry run; pass allow_large=True to proceed")
-
+    if not 4 <= m <= BFS_MAX_M:
+        raise ValueError(f"the covering-radius search covers 4 <= m <= {BFS_MAX_M}, got m={m}")
     field = make_field(m)
     q = field.q
-    cube, fifth = power_table(field, 3), power_table(field, 5)
+    depth = _orbit_depths(field)
+    rho = int(depth.max())
+    plain, orbits = depth[: q * q], depth[q * q :]
+    # an s1 = 1 normal form stands for q - 1 syndromes, an s1 = 0 state for one
+    layers = (q - 1) * np.bincount(orbits[orbits >= 0], minlength=rho + 1)
+    layers += np.bincount(plain[plain >= 0], minlength=rho + 1)
+    reached = tuple(int(v) for v in layers)
     xs = np.arange(1, q, dtype=np.int64)
-    gens = xs | cube[1:] << m | fifth[1:] << 2 * m
-
-    space = 1 << (3 * m)
-    visited = np.zeros(space, dtype=bool)
-    visited[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    reached = [1]
-    while True:
-        stepped = np.zeros(space, dtype=bool)
-        for lo in range(0, len(frontier), chunk):
-            block = frontier[lo : lo + chunk]
-            stepped[(block[:, None] ^ gens[None, :]).ravel()] = True
-        new = stepped & ~visited
-        count = int(np.count_nonzero(new))
-        if count == 0:
-            break
-        visited |= new
-        frontier = np.flatnonzero(new)
-        reached.append(count)
+    gens = xs | power_table(field, 3)[1:] << m | power_table(field, 5)[1:] << 2 * m
     if sum(reached) != 1 << _f2_rank(gens):
         raise AssertionError("BFS stopped before exhausting the syndrome group")
-    return CoveringRadiusReport(m=m, rho=len(reached) - 1, reached_at_weight=tuple(reached))
+    return CoveringRadiusReport(m=m, rho=rho, reached_at_weight=reached)

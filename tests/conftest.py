@@ -2,14 +2,18 @@
 
 The reference helpers here recompute traces and fibre counts straight
 from the definitions (Frobenius-power sums, per-x field evaluation), so
-the fast mask kernels are always checked against an independent path.
+the fast mask kernels are always checked against an independent path;
+full_group_bfs_layers does the same for the orbit BFS of the oracle.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
-from bch3.gf2m import FieldSpec, make_field
+from bch3.gf2m import FieldSpec, make_field, power_table
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +93,27 @@ def read_profile_fixture(path) -> list[dict]:
                 row[key] = int(value, 16) if value.startswith("0x") else int(value)
             rows.append(row)
     return rows
+
+
+@lru_cache(maxsize=None)
+def full_group_bfs_layers(m: int) -> tuple[int, ...]:
+    """Syndromes at each BFS depth from 0, over all 2^(3m) packed triples
+    s1 | s3 << m | s5 << 2m: no orbits, no normal forms.  m <= 7 only."""
+    assert m <= 7, "the full-group table has 2^(3m) entries"
+    field = make_field(m)
+    xs = np.arange(1, field.q, dtype=np.int64)
+    gens = xs | power_table(field, 3)[1:] << m | power_table(field, 5)[1:] << 2 * m
+    visited = np.zeros(1 << 3 * m, dtype=bool)
+    visited[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    layers = [1]
+    while True:
+        stepped = np.zeros_like(visited)
+        for lo in range(0, len(frontier), 1 << 12):
+            stepped[(frontier[lo : lo + (1 << 12), None] ^ gens).ravel()] = True
+        new = stepped & ~visited
+        if not new.any():
+            return tuple(layers)
+        visited |= new
+        frontier = np.flatnonzero(new)
+        layers.append(len(frontier))

@@ -2,6 +2,7 @@
 tolerance, with one printed PASS/FAIL line per criterion (run with -s).
 """
 
+import math
 import random
 import time
 from collections import Counter
@@ -9,7 +10,8 @@ from contextlib import contextmanager
 
 from bch3 import coset, curves, gf2m, oracle
 from bch3.curves import curve_params, curve_traces, n_count, split_count
-from bch3.gf2m import isqrt_floor, make_field
+from bch3.gf2m import make_field
+from conftest import full_group_bfs_layers
 
 
 @contextmanager
@@ -124,7 +126,7 @@ def test_criterion_9_property_suite():
         for m in (5, 7):
             field = make_field(m)
             q = field.q
-            bound = isqrt_floor(4 * q)
+            bound = math.isqrt(4 * q)
             root2q = 1 << ((m + 1) // 2)
             lo, hi = coset.refined_even_interval(m)
             t3_seen = set()
@@ -181,18 +183,14 @@ def test_criterion_10_combined_trace_consistency():
 
 
 def test_criterion_11_covering_radius():
-    with criterion(11, "covering radius 5 for m=4..7 (m=7 under 1 min), weight-5 cross-check"):
+    with criterion(11, "covering radius 5 for m=4..7 (m=7 under 1 min), every layer = full-group BFS"):
         for m in (4, 5, 6):
             assert oracle.covering_radius(m).rho == 5
         start = time.perf_counter()
         assert oracle.covering_radius(7).rho == 5
         assert time.perf_counter() - start < 60.0
-        for m in (4, 5):
-            field = make_field(m)
-            report = oracle.covering_radius(m)
-            assert report.rho <= 5
-            assert oracle.weight5_all_solvable(field)
-            assert sum(report.reached_at_weight) == len(oracle.weight5_reached(field))
+        for m in (4, 5, 6, 7):
+            assert oracle.covering_radius(m).reached_at_weight == full_group_bfs_layers(m)
 
 
 def test_criterion_12_representation_independence():

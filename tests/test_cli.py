@@ -107,6 +107,11 @@ class TestCommands:
         assert report["payload"]["rho"] == 5
         assert sum(report["payload"]["reached_at_weight"]) == 1 << 10
 
+    def test_covering_radius_m8(self, capsys):
+        code, report = run_json(capsys, "covering-radius", "--m", "8")
+        assert code == 0
+        assert report["payload"]["rho"] == 5
+
 
 class TestHexRoundTrip:
     def test_traces_hex_fields_reparse(self, capsys):
@@ -180,6 +185,14 @@ class TestFormatsAndErrors:
     def test_missing_gamma_file_exit_one(self, capsys, tmp_path):
         missing = tmp_path / "no-such-profile.txt"
         assert cli.main(["gamma", "--m", "13", "--gamma-file", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_covering_radius_beyond_range_exit_one(self, capsys):
+        assert cli.main(["covering-radius", "--m", "10"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

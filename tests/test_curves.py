@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from bch3.curves import (
     split_count,
     split_interval,
 )
-from bch3.gf2m import isqrt_floor, make_field
+from bch3.gf2m import make_field
 from conftest import g_count_slow, n_count_slow, phi_by_hand, read_profile_fixture, trace_by_definition
 
 FIXTURE = Path(__file__).parent / "data" / "trace_profiles_m5.tsv"
@@ -138,7 +139,7 @@ class TestTraceProfiles:
         assert profile.t_combined == 2 * profile.t1 + 2 * profile.t3 + 2 * profile.t5 + profile.tg
 
     def test_supersingular_and_weil_ranges(self, f5):
-        bound = isqrt_floor(4 * f5.q)
+        bound = math.isqrt(4 * f5.q)
         root2q = 1 << ((f5.m + 1) // 2)
         for cls in (0, 1):
             for b in range(f5.q):
@@ -161,7 +162,7 @@ class TestTraceProfiles:
                 assert p.t3 % 4 == want
 
     def test_t3_hits_every_odd_value(self, f5):
-        bound = isqrt_floor(4 * f5.q)
+        bound = math.isqrt(4 * f5.q)
         seen = {
             curve_traces(curve_params(f5, cls, b)).t3
             for cls in (0, 1)

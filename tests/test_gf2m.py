@@ -7,7 +7,6 @@ from bch3.gf2m import (
     find_default_modulus,
     inverse_table,
     is_irreducible,
-    isqrt_floor,
     log_tables,
     make_field,
     mul_array,
@@ -142,55 +141,6 @@ class TestTrace:
         assert np.array_equal(table, sums)
 
 
-class TestArtinSchreier:
-    def test_zero_case(self, f5):
-        assert f5.artin_schreier_solve(0) == 0
-
-    def test_trace_one_has_no_solution(self, f5):
-        assert f5.artin_schreier_solve(1) is None
-
-    @pytest.mark.parametrize("m", [5, 7, 9])
-    def test_solves_exactly_the_trace_kernel(self, m):
-        field = make_field(m)
-        for c in range(field.q):
-            y = field.artin_schreier_solve(c)
-            if field.trace(c):
-                assert y is None
-            else:
-                assert y is not None
-                assert field.square(y) ^ y == c
-                assert y == min(y, y ^ 1)
-
-    def test_even_degree_fallback(self, f4):
-        for c in range(16):
-            y = f4.artin_schreier_solve(c)
-            if y is not None:
-                assert f4.square(y) ^ y == c
-
-    @settings(max_examples=40)
-    @given(st.integers(0, 127))
-    def test_exhaustive_scan_agrees(self, c):
-        field = make_field(7)
-        scan = [y for y in range(128) if field.square(y) ^ y == c]
-        got = field.artin_schreier_solve(c)
-        assert got == (min(scan) if scan else None)
-
-
-class TestIntegerHelpers:
-    @pytest.mark.parametrize("n,expected", [(4 * 512, 45), (4 * 32, 11), (0, 0)])
-    def test_isqrt_examples(self, n, expected):
-        assert isqrt_floor(n) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            isqrt_floor(-1)
-
-    @given(st.integers(0, 10**12))
-    def test_isqrt_definition(self, n):
-        r = isqrt_floor(n)
-        assert r * r <= n < (r + 1) * (r + 1)
-
-
 class TestKernelTables:
     def test_inverse_table(self, f7):
         table = inverse_table(f7)
@@ -250,3 +200,5 @@ class TestArrayKernel:
     def test_tables_are_read_only(self, f5):
         with pytest.raises(ValueError):
             power_table(f5, 3)[2] = 0
+        with pytest.raises(ValueError):
+            trace_mul_table(f5)[2] = 0

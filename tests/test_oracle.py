@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bch3 import coset, curves, oracle
 from bch3.gf2m import make_field
-from bch3.oracle import (
-    brute_N,
-    covering_radius,
-    weight5_all_solvable,
-    weight5_reached,
-    weight5_solvable,
-)
+from bch3.oracle import brute_N, covering_radius
+from conftest import full_group_bfs_layers
 
 
 def pack(s1: int, s3: int, s5: int, m: int) -> int:
@@ -88,33 +84,6 @@ class TestBruteN:
         assert brute_N(field, a, b) == brute_N(field, ta, tb)
 
 
-class TestWeight5:
-    def test_zero_syndrome(self, f4):
-        assert weight5_solvable(f4, 0, 0, 0) == 1
-
-    def test_too_large_field_rejected(self, f9):
-        with pytest.raises(ValueError, match="too large"):
-            weight5_solvable(f9, 0, 0, 0)
-
-    @pytest.mark.parametrize("m", [4, 5])
-    def test_whole_syndrome_group_is_solvable(self, m):
-        assert weight5_all_solvable(make_field(m))
-
-    def test_all_triples_solvable_at_m5(self, f5):
-        # odd m: the syndrome group is all of F_q^3
-        assert len(weight5_reached(f5)) == f5.q ** 3
-
-    def test_m4_span_is_a_proper_subgroup(self, f4):
-        # fifth powers of F_16 lie in F_4, so syndromes span 2^10 points
-        reached = weight5_reached(f4)
-        assert len(reached) == 1 << 10
-
-    def test_pointwise_matches_reached_set(self, f4):
-        reached = set(weight5_reached(f4).tolist())
-        for packed in (0, 5, 1 << 9, 1 << 11, (1 << 12) - 1):
-            assert weight5_solvable(f4, *unpack(packed, 4)) == (packed in reached)
-
-
 class TestCoveringRadius:
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_radius_is_five(self, m):
@@ -127,11 +96,9 @@ class TestCoveringRadius:
         with pytest.raises(ValueError):
             covering_radius(3)
 
-    def test_large_m_needs_opt_in(self):
-        with pytest.raises(ValueError, match="allow_large"):
-            covering_radius(8)
-        with pytest.raises(ValueError):
-            covering_radius(10, allow_large=True)
+    def test_large_m_rejected(self):
+        with pytest.raises(ValueError, match="4 <= m <= 9"):
+            covering_radius(10)
 
     def test_odd_m_covers_whole_space(self):
         report = covering_radius(5)
@@ -148,17 +115,26 @@ class TestCoveringRadius:
         assert payload["reached_at_weight"] == list(report.reached_at_weight)
         assert sum(payload["reached_at_weight"][:2]) == 16
 
-    def test_bfs_chunking_is_immaterial(self):
-        a = covering_radius(5, chunk=7)
-        b = covering_radius(5, chunk=1 << 15)
-        assert a == b
+    @pytest.mark.parametrize("m", [4, 5, 6, 7])
+    def test_layers_match_full_group_bfs(self, m):
+        # every layer, not only the radius: the orbit BFS against the
+        # plain BFS over all 2^(3m) syndromes
+        assert covering_radius(m).reached_at_weight == full_group_bfs_layers(m)
 
-    @pytest.mark.parametrize("m", [4, 5])
-    def test_weight5_cross_check(self, m):
-        # the two implementations of the same statement must agree:
-        # BFS visits exactly the weight-<=5-solvable syndromes iff rho <= 5
+    def test_m8_layers_pinned(self):
+        # checked against the full-group BFS (2^24 syndromes, about 30 s)
+        report = covering_radius(8)
+        assert report.rho == 5
+        assert report.reached_at_weight == (1, 255, 32385, 2731135, 13926060, 87380)
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_depth_plane_matches_closed_form(self, m):
+        # the s1 = 1 slice is the (1, A, B) parameter plane: a weight-4
+        # word with syndrome (1, A, B) exists iff that coset has weight <= 4
         field = make_field(m)
-        report = covering_radius(m)
-        assert report.rho <= 5
-        assert sum(report.reached_at_weight) == len(weight5_reached(field))
-        assert weight5_all_solvable(field)
+        q = field.q
+        plane = oracle._orbit_depths(field)[q * q :].reshape(q, q)
+        for a in range(q):
+            for b in range(q):
+                if curves.lambda_of(field, a, b):
+                    assert (coset.N_of_general(field, a, b) > 0) == (plane[a, b] <= 4)
