@@ -1,9 +1,10 @@
 """Exhaustive ground truth for the coset computations.
 
 Two independent checks live here: a brute-force count of weight-4
-words per syndrome (enumerating 4-subsets of the field), and the exact
-covering radius via breadth-first search over the scaling orbits of the
-syndrome group.
+words per syndrome (enumerating the 4-subsets through 0 and spreading
+them over the translation orbits x -> x + t, see docs/weight4_oracle.md),
+and the exact covering radius via breadth-first search over the scaling
+orbits of the syndrome group (see docs/covering_radius_bfs.md).
 
 None of this shares logic with the curve-side closed forms; it exists so
 the fast pipeline can be validated end to end.
@@ -28,25 +29,33 @@ def weight4_histogram(field: FieldSpec) -> np.ndarray:
     """count[s3*q + s5] = number of 4-subsets {x1..x4} of F_q with
     sum xi = 1, sum xi^3 = s3, sum xi^5 = s5.
 
-    Enumerates ordered triples x1 < x2 < x3, completes x4 from the linear
-    equation, and keeps x4 > x3 so each unordered 4-set is counted once.
+    Counts over translation orbits (see docs/weight4_oracle.md): the sets
+    {0, a, b, c} with 0 < a < b < c are enumerated, their histogram is
+    summed over the subgroup W = {(t + t^2, t + t^4)} by which a shift by t
+    moves (s3, s5), and the sum is halved because t and t + 1 give the
+    same element of W.
     """
-    q = field.q
+    m, q = field.m, field.q
     if q > BRUTE_Q_LIMIT:
         raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
     cube, fifth = power_table(field, 3), power_table(field, 5)
-    counts = np.zeros(q * q, dtype=np.int64)
-    for x1 in range(q - 3):
-        rest = np.arange(x1 + 1, q, dtype=np.int64)
-        i2, i3 = np.triu_indices(len(rest), k=1)
-        x2 = rest[i2]
-        x3 = rest[i3]
-        x4 = 1 ^ x1 ^ x2 ^ x3
-        keep = x4 > x3
-        x2, x3, x4 = x2[keep], x3[keep], x4[keep]
-        s3 = cube[x1] ^ cube[x2] ^ cube[x3] ^ cube[x4]
-        s5 = fifth[x1] ^ fifth[x2] ^ fifth[x3] ^ fifth[x4]
-        counts += np.bincount(s3 * q + s5, minlength=q * q)
+    i, j = np.triu_indices(q - 1, k=1)
+    a, b = i + 1, j + 1
+    c = 1 ^ a ^ b
+    keep = c > b
+    a, b, c = a[keep], b[keep], c[keep]
+    s3 = cube[a] ^ cube[b] ^ cube[c]
+    s5 = fifth[a] ^ fifth[b] ^ fifth[c]
+    counts = np.bincount(s3 << m | s5, minlength=q * q)
+    idx = np.arange(q * q, dtype=np.int64)
+    # W is spanned by the shifts of t = 2, 4, ..., 2^(m-1); t = 1 shifts by 0
+    for t in (1 << k for k in range(1, m)):
+        t2 = field.square(t)
+        w3, w5 = t ^ t2, t ^ field.square(t2)
+        counts += counts[idx ^ (w3 << m | w5)]
+    if (counts & 1).any():
+        raise AssertionError("orbit sums must be even: t and t + 1 shift alike")
+    counts >>= 1
     counts.flags.writeable = False
     return counts
 
@@ -94,7 +103,8 @@ def _orbit_depths(field: FieldSpec) -> np.ndarray:
     (0, a, b) for itself (see docs/covering_radius_bfs.md).  A step by the
     generator of x lands on t = (s1 ^ x, a ^ x^3, b ^ x^5), which is
     rescaled by 1/(s1 ^ x) unless s1 ^ x = 0.  Every s1 = 0 state found at
-    a depth gets its whole orbit marked at that depth.
+    a depth gets its whole orbit marked at that depth, but only the states
+    found by a step are expanded.
     """
     m, q, n = field.m, field.q, field.q - 1
     exp, log = log_tables(field)
@@ -115,10 +125,10 @@ def _orbit_depths(field: FieldSpec) -> np.ndarray:
     depth = np.full(2 * q * q, -1, dtype=np.int8)
     depth[0] = 0
     hit = np.zeros(depth.shape, dtype=bool)
+    frontier = np.zeros(1, dtype=np.int64)
     d = 0
     while True:
         hit[:] = False
-        frontier = np.flatnonzero(depth == d)
         for lo in range(0, len(frontier), rows):
             state = frontier[lo : lo + rows, None]
             t = state >> 2 * m ^ xs
@@ -126,12 +136,15 @@ def _orbit_depths(field: FieldSpec) -> np.ndarray:
             b = scaled[log_of[state & n ^ fifth] + inv5[t]]
             hit[(t != 0).astype(np.int64) << 2 * m | a << m | b] = True
         new = hit & (depth < 0)
-        zero = np.flatnonzero(new[: q * q])
+        # only the states hit directly are expanded next: the orbit-mates
+        # added below step to the same s1 = 1 normal forms
+        frontier = np.flatnonzero(new)
+        if not len(frontier):
+            return depth
+        zero = frontier[frontier < q * q]
         for lo in range(0, len(zero), rows):
             state = zero[lo : lo + rows, None]
             new[scaled[log_of[state >> m] + k3] << m | scaled[log_of[state & n] + k5]] = True
-        if not new.any():
-            return depth
         d += 1
         depth[new] = d
 

@@ -3,7 +3,8 @@
 The reference helpers here recompute traces and fibre counts straight
 from the definitions (Frobenius-power sums, per-x field evaluation), so
 the fast mask kernels are always checked against an independent path;
-full_group_bfs_layers does the same for the orbit BFS of the oracle.
+full_group_bfs_layers and weight4_histogram_by_triples do the same for
+the orbit BFS and the translation-orbit histogram of the oracle.
 """
 
 from __future__ import annotations
@@ -117,3 +118,24 @@ def full_group_bfs_layers(m: int) -> tuple[int, ...]:
         visited |= new
         frontier = np.flatnonzero(new)
         layers.append(len(frontier))
+
+
+def weight4_histogram_by_triples(field: FieldSpec) -> np.ndarray:
+    """count[s3*q + s5] over every 4-subset of F_q with sum 1: ordered
+    triples x1 < x2 < x3, x4 completed from the linear equation and kept
+    when x4 > x3, so each 4-set is counted once.  No translation orbits."""
+    q = field.q
+    cube, fifth = power_table(field, 3), power_table(field, 5)
+    counts = np.zeros(q * q, dtype=np.int64)
+    for x1 in range(q - 3):
+        rest = np.arange(x1 + 1, q, dtype=np.int64)
+        i2, i3 = np.triu_indices(len(rest), k=1)
+        x2 = rest[i2]
+        x3 = rest[i3]
+        x4 = 1 ^ x1 ^ x2 ^ x3
+        keep = x4 > x3
+        x2, x3, x4 = x2[keep], x3[keep], x4[keep]
+        s3 = cube[x1] ^ cube[x2] ^ cube[x3] ^ cube[x4]
+        s5 = fifth[x1] ^ fifth[x2] ^ fifth[x3] ^ fifth[x4]
+        counts += np.bincount(s3 * q + s5, minlength=q * q)
+    return counts

@@ -80,6 +80,16 @@ class TestCommands:
         assert payload["mismatches"] == []
         assert payload["boundary"] == {"0": 0, "1": 12}
 
+    @pytest.mark.parametrize("modulus", [None, "0x211"])
+    def test_verify_exhaustive_m9(self, capsys, modulus):
+        argv = ["verify", "--m", "9", "--exhaustive"]
+        if modulus:
+            argv += ["--modulus", modulus]
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert report["payload"]["checked"] == 1022
+        assert report["payload"]["mismatches"] == []
+
     def test_verify_calibrates_the_given_field(self, capsys, monkeypatch):
         seen = []
         calibrate = cli.coset.calibrate_boundary

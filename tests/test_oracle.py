@@ -1,5 +1,7 @@
 from collections import Counter
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from bch3 import coset, curves, oracle
 from bch3.gf2m import make_field
 from bch3.oracle import brute_N, covering_radius
-from conftest import full_group_bfs_layers
+from conftest import full_group_bfs_layers, weight4_histogram_by_triples
 
 
 def pack(s1: int, s3: int, s5: int, m: int) -> int:
@@ -69,6 +71,28 @@ class TestBruteN:
         with pytest.raises(ValueError, match="too large"):
             brute_N(make_field(11), 0, 0)
 
+    @pytest.mark.parametrize(
+        "m, modulus", [(4, None), (5, None), (6, None), (7, None), (8, None), (7, 0x89)]
+    )
+    def test_histogram_matches_triple_enumeration(self, m, modulus):
+        # the translation-orbit count against every 4-set, entry by entry
+        field = make_field(m, modulus)
+        assert np.array_equal(oracle.weight4_histogram(field), weight4_histogram_by_triples(field))
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+    def test_histogram_total_is_subsets_with_sum_one(self, m):
+        # 4-sets with sum 0 are the C(q, 3) / 4 completions of 3-sets;
+        # scaling spreads the rest evenly over the q - 1 nonzero sums
+        q = 1 << m
+        expected = (comb(q, 4) - q * (q - 1) * (q - 2) // 24) // (q - 1)
+        assert int(oracle.weight4_histogram(make_field(m)).sum()) == expected
+
+    def test_histogram_is_read_only(self, f5):
+        with pytest.raises(ValueError):
+            oracle.weight4_histogram(f5)[0] = 1
+
+    # the two translation tests hold by construction of the orbit count;
+    # test_histogram_matches_triple_enumeration is the check on the oracle
     def test_translation_invariance_exhaustive(self, f5):
         for s in range(f5.q):
             for a in range(f5.q):
