@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -31,31 +32,41 @@ def _require_odd(m: int) -> None:
         raise ValueError(f"the pipeline is defined for odd extension degrees, got m={m}")
 
 
-def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
-    """The invariant for normalized A (trace class only) and B = b."""
+@lru_cache(maxsize=None)
+def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
+    """N for normalized A (trace class only) and every B, indexed by B, as
+    a read-only int64 array; the degenerate B = 1 (lam = 0) holds -1.
+
+    One combine over the lam != 0 columns of the count table, checked once
+    to sit on the even part of its lattice; the lam = 0 column never
+    reaches that check.
+    """
     _require_odd(field.m)
     if trace_class_a not in (0, 1):
         raise ValueError("trace_class_a must be 0 or 1")
-    field._check(b)
-    lam = b ^ 1
-    if lam == 0:
-        raise DegenerateLambdaError(
-            f"b=0x{b:x} gives lam=0: the coset family degenerates into twelve lines"
-        )
-    return int(_invariant(field.q, trace_class_a, curves.n_counts_all(field)[:, lam]))
-
-
-def _invariant(q: int, trace_class_a: int, n) -> np.ndarray:
-    """The invariant from offset-free counts n[0..6] (one column or a
-    whole table of columns), checked to sit on the even part of its
-    lattice."""
+    q = field.q
+    n = curves.n_counts_all(field)[:, 1:]
     if trace_class_a == 0:
         num = 2 * q - 2 - 2 * (n[0] + n[1] + n[2] - n[3] - n[4] - n[5] + n[6])
     else:
         num = -6 * q - 2 + 2 * n.sum(axis=0)
     if (num % 24).any() or (num < 0).any() or (num // 24 % 2).any():
         raise AssertionError("invariant left its lattice")
-    return num // 24
+    values = np.full(q, -1, dtype=np.int64)
+    values[np.arange(1, q) ^ 1] = num // 24
+    values.flags.writeable = False
+    return values
+
+
+def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
+    """The invariant for normalized A (trace class only) and B = b."""
+    values = invariants(field, trace_class_a)
+    field._check(b)
+    if b == 1:
+        raise DegenerateLambdaError(
+            f"b=0x{b:x} gives lam=0: the coset family degenerates into twelve lines"
+        )
+    return int(values[b])
 
 
 def N_of_general(field: FieldSpec, a: int, b: int) -> int:
@@ -107,10 +118,9 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
         raise ValueError(f"supported extension degrees are {SUPPORTED_M}, got {m}")
     field = make_field(m, modulus)
     q = field.q
-    counts = curves.n_counts_all(field)[:, 1:]  # drop the lam = 0 column
     per_class = []
     for cls in (0, 1):
-        hist = np.bincount(_invariant(q, cls, counts))
+        hist = np.bincount(np.delete(invariants(field, cls), 1))  # B = 1 is lam = 0
         per_class.append({int(v): int(c) for v, c in enumerate(hist) if c})
     merged: dict[int, int] = {}
     for hist in per_class:

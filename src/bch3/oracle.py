@@ -1,10 +1,11 @@
 """Exhaustive ground truth for the coset computations.
 
 Two independent checks live here: a brute-force count of weight-4
-words per syndrome (enumerating the 4-subsets through 0 and spreading
-them over the translation orbits x -> x + t, see docs/weight4_oracle.md),
-and the exact covering radius via breadth-first search over the scaling
-orbits of the syndrome group (see docs/covering_radius_bfs.md).
+words per syndrome, one row (1, a, *) at a time (the 4-subsets through 0
+are enumerated and each is moved onto row a by the translations
+x -> x + t with t^2 + t = a + s3, see docs/weight4_oracle.md), and the
+exact covering radius via breadth-first search over the scaling orbits
+of the syndrome group (see docs/covering_radius_bfs.md).
 
 None of this shares logic with the curve-side closed forms; it exists so
 the fast pipeline can be validated end to end.
@@ -19,45 +20,60 @@ import numpy as np
 
 from .gf2m import FieldSpec, inverse_table, log_tables, make_field, power_table
 
-BRUTE_Q_LIMIT = 512
+BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 9
 _CHUNK = 1 << 14  # BFS neighbours marked per numpy pass; small passes stay in cache
+_SETS_CHUNK = 1 << 17  # (x, y) pairs enumerated per pass of the weight-4 oracle
+
+
+@lru_cache(maxsize=None)
+def weight4_row(field: FieldSpec, a: int) -> np.ndarray:
+    """row[b] = number of 4-subsets of F_q with power sums (1, a, b).
+
+    Counts over translations (see docs/weight4_oracle.md): a set
+    {0, x, y, z} with sum 1 and syndrome (s3, s5) shifted by t lands on
+    (a, s5 + t + t^4) iff t^2 + t = a + s3, which has the two roots t0 and
+    t0 + 1 iff Tr(a + s3) = 0; both move s5 alike.  Each 4-set is met from
+    four (set, shift) pairs and each kept set stands for two, so the
+    counts are halved.  The pairs (x, y) are enumerated a block of rows
+    at a time, so memory stays flat in q.
+    """
+    field._check(a)
+    q = field.q
+    if q > BRUTE_Q_LIMIT:
+        raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
+    cube, fifth, fourth = power_table(field, 3), power_table(field, 5), power_table(field, 4)
+    t = np.arange(q, dtype=np.int64)
+    root = np.full(q, -1, dtype=np.int64)  # -1 where Tr(v) = 1: no root
+    root[t ^ power_table(field, 2)] = t
+    counts = np.zeros(q, dtype=np.int64)
+    rows = max(1, _SETS_CHUNK // q)
+    for lo in range(1, q, rows):
+        x = t[lo : lo + rows, None]
+        y = t[lo + 1 :]
+        z = 1 ^ x ^ y
+        keep = (x < y) & (y < z)
+        y, z = np.broadcast_to(y, keep.shape)[keep], z[keep]
+        x3, x5 = (np.broadcast_to(power[x], keep.shape)[keep] for power in (cube, fifth))
+        t0 = root[a ^ x3 ^ cube[y] ^ cube[z]]
+        s5 = x5 ^ fifth[y] ^ fifth[z] ^ t0 ^ fourth[t0]  # garbage where t0 = -1, dropped
+        counts += np.bincount(s5[t0 >= 0], minlength=q)
+    if (counts & 1).any():
+        raise AssertionError("row counts must be even: each 4-set is met twice")
+    counts >>= 1
+    counts.flags.writeable = False
+    return counts
 
 
 @lru_cache(maxsize=None)
 def weight4_histogram(field: FieldSpec) -> np.ndarray:
-    """count[s3*q + s5] = number of 4-subsets {x1..x4} of F_q with
-    sum xi = 1, sum xi^3 = s3, sum xi^5 = s5.
-
-    Counts over translation orbits (see docs/weight4_oracle.md): the sets
-    {0, a, b, c} with 0 < a < b < c are enumerated, their histogram is
-    summed over the subgroup W = {(t + t^2, t + t^4)} by which a shift by t
-    moves (s3, s5), and the sum is halved because t and t + 1 give the
-    same element of W.
-    """
-    m, q = field.m, field.q
-    if q > BRUTE_Q_LIMIT:
-        raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
-    cube, fifth = power_table(field, 3), power_table(field, 5)
-    i, j = np.triu_indices(q - 1, k=1)
-    a, b = i + 1, j + 1
-    c = 1 ^ a ^ b
-    keep = c > b
-    a, b, c = a[keep], b[keep], c[keep]
-    s3 = cube[a] ^ cube[b] ^ cube[c]
-    s5 = fifth[a] ^ fifth[b] ^ fifth[c]
-    counts = np.bincount(s3 << m | s5, minlength=q * q)
-    idx = np.arange(q * q, dtype=np.int64)
-    # W is spanned by the shifts of t = 2, 4, ..., 2^(m-1); t = 1 shifts by 0
-    for t in (1 << k for k in range(1, m)):
-        t2 = field.square(t)
-        w3, w5 = t ^ t2, t ^ field.square(t2)
-        counts += counts[idx ^ (w3 << m | w5)]
-    if (counts & 1).any():
-        raise AssertionError("orbit sums must be even: t and t + 1 shift alike")
-    counts >>= 1
-    counts.flags.writeable = False
-    return counts
+    """count[s3*q + s5] for every syndrome: the q rows of weight4_row
+    stacked, q^2 entries, so q <= 512 only."""
+    if field.q > 512:
+        raise ValueError(f"q={field.q} is too large for the full histogram (limit 512)")
+    stack = np.concatenate([weight4_row(field, a) for a in range(field.q)])
+    stack.flags.writeable = False
+    return stack
 
 
 def brute_N(field: FieldSpec, a: int, b: int) -> int:
@@ -66,9 +82,9 @@ def brute_N(field: FieldSpec, a: int, b: int) -> int:
     Defined for every (a, b); degenerate parameter choices simply count
     solutions on the degenerate curve.
     """
-    field._check(a)
+    row = weight4_row(field, a)
     field._check(b)
-    return int(weight4_histogram(field)[a * field.q + b])
+    return int(row[b])
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,22 @@ class TestCommands:
         assert report["payload"]["checked"] == 1022
         assert report["payload"]["mismatches"] == []
 
+    def test_verify_reports_each_mismatch(self, capsys, monkeypatch):
+        # one wrong closed-form value is reported, and the lam = 0 filler is not
+        invariants = cli.coset.invariants
+
+        def perturbed(field, cls):
+            values = invariants(field, cls).copy()
+            if cls == 1:
+                values[6] += 2
+            return values
+
+        monkeypatch.setattr(cli.coset, "invariants", perturbed)
+        code, report = run_json(capsys, "verify", "--m", "9")
+        assert code == 1
+        assert report["payload"]["checked"] == 1022
+        assert report["payload"]["mismatches"] == [{"tr_a": 1, "b": "0x6"}]
+
     def test_verify_calibrates_the_given_field(self, capsys, monkeypatch):
         seen = []
         calibrate = cli.coset.calibrate_boundary
@@ -104,12 +120,11 @@ class TestCommands:
         assert seen == [0x89]
         assert report["payload"]["boundary"] == {"0": 0, "1": 12}
 
-    def test_verify_sampled_is_seeded(self, capsys):
-        code, first = run_json(capsys, "verify", "--m", "9", "--samples", "5")
+    def test_verify_m11_is_exhaustive(self, capsys):
+        # every run compares all 2(q - 1) pairs; there is no sampled mode
+        code, report = run_json(capsys, "verify", "--m", "11")
         assert code == 0
-        code, second = run_json(capsys, "verify", "--m", "9", "--samples", "5")
-        assert first["payload"] == second["payload"]
-        assert first["payload"]["seed"] == cli.DEFAULT_SEED
+        assert report["payload"] == {"mode": "exhaustive", "checked": 4094, "mismatches": []}
 
     def test_covering_radius(self, capsys):
         code, report = run_json(capsys, "covering-radius", "--m", "4")
@@ -185,12 +200,32 @@ class TestFormatsAndErrors:
         second.pop("elapsed_s")
         assert first == second
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_verify_nonpositive_samples_is_usage_error(self, capsys, samples):
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_verify_sampling_flags_are_gone(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--m", "9", "--samples", samples])
+            cli.main(["verify", "--m", "9", flag, "5"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("m", ["8", "17"])
+    def test_verify_outside_oracle_domain_exit_one(self, capsys, monkeypatch, m):
+        # even m has no closed form; m = 17 is past the oracle and must fail
+        # before the count table is built
+        built = []
+        count_table = cli.curves.n_counts_all
+
+        def spy(field):
+            built.append(field.m)
+            return count_table(field)
+
+        monkeypatch.setattr(cli.curves, "n_counts_all", spy)
+        assert cli.main(["verify", "--m", m]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert 17 not in built
 
     def test_missing_gamma_file_exit_one(self, capsys, tmp_path):
         missing = tmp_path / "no-such-profile.txt"

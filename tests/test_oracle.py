@@ -69,7 +69,23 @@ class TestBruteN:
 
     def test_too_large_field_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            brute_N(make_field(11), 0, 0)
+            brute_N(make_field(17), 0, 0)
+
+    @pytest.mark.parametrize(
+        "m, modulus", [(5, None), (7, None), (9, None), (11, None), (11, 0x82B), (13, None)]
+    )
+    def test_rows_match_closed_form(self, m, modulus):
+        # rows A = 0, 1 against the curve-count invariant at every B != 1:
+        # the oracle behind the published m = 11, 13 tables and the profile
+        field = make_field(m, modulus)
+        for cls in (0, 1):
+            row, values = oracle.weight4_row(field, cls), coset.invariants(field, cls)
+            assert row[1] == 0  # the degenerate lam = 0 carries no 4-set
+            assert np.array_equal(np.delete(row, 1), np.delete(values, 1))
+
+    def test_row_is_read_only(self, f5):
+        with pytest.raises(ValueError):
+            oracle.weight4_row(f5, 1)[0] = 1
 
     @pytest.mark.parametrize(
         "m, modulus", [(4, None), (5, None), (6, None), (7, None), (8, None), (7, 0x89)]
