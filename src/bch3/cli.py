@@ -4,7 +4,8 @@ Each run prints a single report to stdout: JSON by default, TSV with
 --format tsv (tabs, no quoting, LF endings).  The envelope carries the
 command name, field parameters, and wall time; payloads are documented by
 the schemas under docs/schemas/.  Exit status: 0 on success, 1 on domain
-errors (degenerate parameters, unsupported degree), 2 on usage errors.
+errors (degenerate parameters, unsupported degree) and failed internal
+checks, which print one error line and no traceback, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every run is exhaustive; the flag is accepted for existing callers
     p.add_argument("--exhaustive", action="store_true")
 
-    add("covering-radius", help="exact covering radius by syndrome BFS (4 <= m <= 9)")
+    add("covering-radius", help="exact covering radius by syndrome BFS (4 <= m <= 11)")
 
     return parser
 
@@ -261,7 +262,8 @@ def main(argv=None) -> int:
     except DomainFailure as exc:
         payload = exc.payload
         failed = True
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, AssertionError) as exc:
+        # AssertionError: an internal consistency check failed
         sys.stderr.write(f"error: {exc}\n")
         return 1
     elapsed = time.perf_counter() - start

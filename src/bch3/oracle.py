@@ -4,8 +4,8 @@ Two independent checks live here: a brute-force count of weight-4
 words per syndrome, one row (1, a, *) at a time (the 4-subsets through 0
 are enumerated and each is moved onto row a by the translations
 x -> x + t with t^2 + t = a + s3, see docs/weight4_oracle.md), and the
-exact covering radius via breadth-first search over the scaling orbits
-of the syndrome group (see docs/covering_radius_bfs.md).
+exact covering radius via breadth-first search over the scaling and
+Frobenius orbits of the syndrome group (see docs/covering_radius_bfs.md).
 
 None of this shares logic with the curve-side closed forms; it exists so
 the fast pipeline can be validated end to end.
@@ -21,8 +21,8 @@ import numpy as np
 from .gf2m import FieldSpec, inverse_table, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 1 << 15
-BFS_MAX_M = 9
-_CHUNK = 1 << 14  # BFS neighbours marked per numpy pass; small passes stay in cache
+BFS_MAX_M = 11
+_CHUNK = 1 << 14  # BFS neighbours or table entries per numpy pass; small passes stay in cache
 _SETS_CHUNK = 1 << 17  # (x, y) pairs enumerated per pass of the weight-4 oracle
 
 
@@ -111,29 +111,50 @@ def _f2_rank(vectors) -> int:
     return len(basis)
 
 
-def _orbit_depths(field: FieldSpec) -> np.ndarray:
+def _group_order(field: FieldSpec) -> int:
+    """Size of the syndrome group: 2 to the F_2-rank of the columns."""
+    m = field.m
+    xs = np.arange(1, field.q, dtype=np.int64)
+    gens = xs | power_table(field, 3)[1:] << m | power_table(field, 5)[1:] << 2 * m
+    return 1 << _f2_rank(gens)
+
+
+def _orbit_depths(field: FieldSpec, group_order: int) -> np.ndarray:
     """BFS depth from 0 of every scaling-orbit normal form; -1 if unreached.
 
     Index s1 << 2m | a << m | b holds the state (s1, a, b) for s1 in {0, 1}:
     (1, a, b) stands for its whole orbit {(c, c^3 a, c^5 b) : c != 0}, and
     (0, a, b) for itself (see docs/covering_radius_bfs.md).  A step by the
     generator of x lands on t = (s1 ^ x, a ^ x^3, b ^ x^5), which is
-    rescaled by 1/(s1 ^ x) unless s1 ^ x = 0.  Every s1 = 0 state found at
-    a depth gets its whole orbit marked at that depth, but only the states
-    found by a step are expanded.
+    rescaled by 1/(s1 ^ x) unless s1 ^ x = 0.
+
+    Each layer is closed before the next one starts: every state found by
+    a step gets its Frobenius conjugates (s1, a^2, b^2), (s1, a^4, b^4), ...
+    and every new s1 = 0 state its scaling orbit (0, c^3 a, c^5 b), all at
+    the same depth.  Only the least state of each conjugate set is
+    expanded.  The search stops once the layers hold group_order
+    syndromes, or when a step finds nothing new; the caller tells the two
+    apart by summing the layers.
     """
     m, q, n = field.m, field.q, field.q - 1
     exp, log = log_tables(field)
     # scaled[log_of[v] + k] = v * g^k for 0 <= k < n, zero included:
     # two periods of exp, then the zero block that log_of[0] points into.
     scaled = np.concatenate([exp, exp, np.zeros(n, dtype=np.int64)])
+    scaled_hi = scaled << m
     log_of = log.copy()
     log_of[0] = 2 * n
-    # log of (1/t)^3 and (1/t)^5 per t, and 0 (scale by 1) at t = 0
-    inv_log = log[inverse_table(field)]
-    inv3, inv5 = 3 * inv_log % n, 5 * inv_log % n
     xs = np.arange(1, q, dtype=np.int64)
     cube, fifth = power_table(field, 3)[1:], power_table(field, 5)[1:]
+    # per slice s1: the s1 bit of s1 ^ x and the logs of its inverse cubed
+    # and to the fifth, the rescaling; s1 ^ x = 0 keeps scale 1 (log 0)
+    inv_log = log[inverse_table(field)]
+    steps = [
+        ((t != 0).astype(np.int64) << 2 * m, 3 * inv_log[t] % n, 5 * inv_log[t] % n)
+        for t in (xs, 1 ^ xs)
+    ]
+    square = power_table(field, 2)
+    square_hi = square << m
     ks = np.arange(n, dtype=np.int64)
     k3, k5 = 3 * ks % n, 5 * ks % n
     rows = max(1, _CHUNK // n)
@@ -141,28 +162,49 @@ def _orbit_depths(field: FieldSpec) -> np.ndarray:
     depth = np.full(2 * q * q, -1, dtype=np.int8)
     depth[0] = 0
     hit = np.zeros(depth.shape, dtype=bool)
+    least = np.zeros(depth.shape, dtype=bool)  # the least state of each conjugate set found
+    closed = np.zeros(q * q, dtype=bool)  # the s1 = 0 slice: orbits marked this depth
     frontier = np.zeros(1, dtype=np.int64)
-    d = 0
-    while True:
+    reached, d = 1, 0
+    while reached < group_order:
         hit[:] = False
-        for lo in range(0, len(frontier), rows):
-            state = frontier[lo : lo + rows, None]
-            t = state >> 2 * m ^ xs
-            a = scaled[log_of[state >> m & n ^ cube] + inv3[t]]
-            b = scaled[log_of[state & n ^ fifth] + inv5[t]]
-            hit[(t != 0).astype(np.int64) << 2 * m | a << m | b] = True
+        split = np.searchsorted(frontier, q * q)
+        for (top, inv3, inv5), part in zip(steps, (frontier[:split], frontier[split:])):
+            for lo in range(0, len(part), rows):
+                state = part[lo : lo + rows, None]
+                a = scaled_hi[log_of[state >> m & n ^ cube] + inv3]
+                b = scaled[log_of[state & n ^ fifth] + inv5]
+                hit[top | a | b] = True
+        found = hit & (depth < 0)
+        if not found.any():
+            return depth  # stalled short of group_order
+        # mark the conjugates of every state found, a slice of the table at
+        # a time; the least member of each conjugate set stands for the
+        # whole set in the next frontier
+        least[:] = False
+        for lo in range(0, len(found), _CHUNK):
+            state = low = lo + np.flatnonzero(found[lo : lo + _CHUNK])
+            for _ in range(m - 1):
+                state = state >> 2 * m << 2 * m | square_hi[state >> m & n] | square[state & n]
+                hit[state] = True
+                low = np.minimum(low, state)
+            least[low] = True
+        frontier = np.flatnonzero(least)
         new = hit & (depth < 0)
-        # only the states hit directly are expanded next: the orbit-mates
-        # added below step to the same s1 = 1 normal forms
-        frontier = np.flatnonzero(new)
-        if not len(frontier):
-            return depth
-        zero = frontier[frontier < q * q]
-        for lo in range(0, len(zero), rows):
-            state = zero[lo : lo + rows, None]
-            new[scaled[log_of[state >> m] + k3] << m | scaled[log_of[state & n] + k5]] = True
+        # close each new s1 = 0 scaling orbit once: a state that an earlier
+        # block already marked has its orbit marked with it
+        closed[:] = False
+        zero = new[: q * q]
+        for lo in range(0, q * q, _CHUNK):
+            block = lo + np.flatnonzero(zero[lo : lo + _CHUNK])
+            while len(block := block[~closed[block]]):
+                state = block[:rows, None]
+                closed[scaled_hi[log_of[state >> m] + k3] | scaled[log_of[state & n] + k5]] = True
+        zero |= closed
         d += 1
         depth[new] = d
+        reached += (q - 1) * np.count_nonzero(new[q * q :]) + np.count_nonzero(zero)
+    return depth
 
 
 def covering_radius(m: int) -> CoveringRadiusReport:
@@ -171,24 +213,28 @@ def covering_radius(m: int) -> CoveringRadiusReport:
     The Cayley graph of the syndrome group under xor with generators
     (x, x^3, x^5) for x in F_q^* has involutive generators, so BFS depth
     from 0 equals the minimum coset weight and the eccentricity of 0 is
-    the covering radius.  Scaling x -> c*x permutes the generators, so the
-    BFS runs on its orbits (see docs/covering_radius_bfs.md).  The syndrome
-    group is the F_2-span of the generators: all of F_q^3 for odd m, but
-    a proper subgroup when fifth powers collapse into a subfield (m = 4).
+    the covering radius.  Scaling x -> c*x and squaring x -> x^2 permute
+    the generators, so the BFS runs on their orbits (see
+    docs/covering_radius_bfs.md).  The syndrome group is the F_2-span of
+    the generators: all of F_q^3 for odd m, but a proper subgroup when
+    fifth powers collapse into a subfield (m = 4).  Its order is computed
+    once; the search stops when its layers reach it, and the layers
+    recomputed from the depth table must sum to it.
     """
     if not 4 <= m <= BFS_MAX_M:
         raise ValueError(f"the covering-radius search covers 4 <= m <= {BFS_MAX_M}, got m={m}")
     field = make_field(m)
     q = field.q
-    depth = _orbit_depths(field)
+    group_order = _group_order(field)
+    depth = _orbit_depths(field, group_order)
     rho = int(depth.max())
     plain, orbits = depth[: q * q], depth[q * q :]
     # an s1 = 1 normal form stands for q - 1 syndromes, an s1 = 0 state for one
     layers = (q - 1) * np.bincount(orbits[orbits >= 0], minlength=rho + 1)
     layers += np.bincount(plain[plain >= 0], minlength=rho + 1)
     reached = tuple(int(v) for v in layers)
-    xs = np.arange(1, q, dtype=np.int64)
-    gens = xs | power_table(field, 3)[1:] << m | power_table(field, 5)[1:] << 2 * m
-    if sum(reached) != 1 << _f2_rank(gens):
-        raise AssertionError("BFS stopped before exhausting the syndrome group")
+    if sum(reached) != group_order:
+        raise AssertionError(
+            f"BFS layers hold {sum(reached)} syndromes, the syndrome group {group_order}"
+        )
     return CoveringRadiusReport(m=m, rho=rho, reached_at_weight=reached)

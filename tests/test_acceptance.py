@@ -27,6 +27,7 @@ def criterion(number, description):
 def cold_distribution(m, modulus=None):
     """Time one distribution run with every per-field cache cleared."""
     curves._count_table.cache_clear()
+    coset.invariants.cache_clear()
     gf2m.power_table.cache_clear()
     gf2m.log_tables.cache_clear()
     gf2m.trace_mul_table.cache_clear()

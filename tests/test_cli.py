@@ -237,11 +237,24 @@ class TestFormatsAndErrors:
         assert "Traceback" not in captured.err
 
     def test_covering_radius_beyond_range_exit_one(self, capsys):
-        assert cli.main(["covering-radius", "--m", "10"]) == 1
+        assert cli.main(["covering-radius", "--m", "12"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "4 <= m <= 11" in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_failed_internal_check_exit_one(self, capsys, monkeypatch):
+        # the BFS group-size check fires for real: the search is asked for
+        # one syndrome more than the group holds
+        group_order = cli.oracle._group_order
+        monkeypatch.setattr(cli.oracle, "_group_order", lambda field: group_order(field) + 1)
+        assert cli.main(["covering-radius", "--m", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: BFS layers hold")
         assert "Traceback" not in captured.err
 
     def test_unreadable_gamma_file_exit_one(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bch3 import coset, curves, oracle
-from bch3.gf2m import make_field
+from bch3 import coset, oracle
+from bch3.gf2m import make_field, power_table
 from bch3.oracle import brute_N, covering_radius
 from conftest import full_group_bfs_layers, weight4_histogram_by_triples
+
+
+cached_report = lru_cache(maxsize=None)(covering_radius)
 
 
 def pack(s1: int, s3: int, s5: int, m: int) -> int:
@@ -137,8 +141,8 @@ class TestCoveringRadius:
             covering_radius(3)
 
     def test_large_m_rejected(self):
-        with pytest.raises(ValueError, match="4 <= m <= 9"):
-            covering_radius(10)
+        with pytest.raises(ValueError, match="4 <= m <= 11"):
+            covering_radius(12)
 
     def test_odd_m_covers_whole_space(self):
         report = covering_radius(5)
@@ -163,18 +167,48 @@ class TestCoveringRadius:
 
     def test_m8_layers_pinned(self):
         # checked against the full-group BFS (2^24 syndromes, about 30 s)
-        report = covering_radius(8)
+        report = cached_report(8)
         assert report.rho == 5
         assert report.reached_at_weight == (1, 255, 32385, 2731135, 13926060, 87380)
 
-    @pytest.mark.parametrize("m", [5, 7])
+    def test_m10_layers_pinned(self):
+        # beyond the full-group BFS; the low layers are checked below
+        report = cached_report(10)
+        assert report.rho == 5
+        assert report.reached_at_weight == (1, 1023, 522753, 177910271, 893909676, 1398100)
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10])
+    def test_low_layers_are_binomial(self, m):
+        # d = 7: every set of at most 3 columns has its own syndrome, so
+        # layer k holds C(q - 1, k) syndromes for k <= 3; needs no oracle
+        layers = cached_report(m).reached_at_weight
+        assert layers[:4] == tuple(comb((1 << m) - 1, k) for k in range(4))
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_search_stalls_short_of_a_larger_target(self, m, monkeypatch):
+        # the search stops at the group order; asked for one syndrome more
+        # it runs until no new state turns up, and the group-size check on
+        # the recomputed layers fails instead of passing unchecked
+        field = make_field(m)
+        order = oracle._group_order(field)
+        stalled = oracle._orbit_depths(field, order + 1)
+        assert np.array_equal(stalled, oracle._orbit_depths(field, order))
+        monkeypatch.setattr(oracle, "_group_order", lambda field: order + 1)
+        with pytest.raises(AssertionError, match="BFS layers hold"):
+            covering_radius(m)
+
+    @pytest.mark.parametrize("m", [5, 7, 9])
     def test_depth_plane_matches_closed_form(self, m):
         # the s1 = 1 slice is the (1, A, B) parameter plane: a weight-4
-        # word with syndrome (1, A, B) exists iff that coset has weight <= 4
+        # word with syndrome (1, A, B) exists iff that coset has weight <= 4.
+        # N(A, B) is the normalized invariant of class Tr(A) at
+        # B + A^2 + A = lam + 1; lam = 0 (that index 1) is left out.
         field = make_field(m)
         q = field.q
-        plane = oracle._orbit_depths(field)[q * q :].reshape(q, q)
-        for a in range(q):
-            for b in range(q):
-                if curves.lambda_of(field, a, b):
-                    assert (coset.N_of_general(field, a, b) > 0) == (plane[a, b] <= 4)
+        plane = oracle._orbit_depths(field, oracle._group_order(field))[q * q :].reshape(q, q)
+        a, b = np.arange(q)[:, None], np.arange(q)
+        shifted = b ^ power_table(field, 2)[a] ^ a
+        trace = np.array([field.trace(v) for v in range(q)])
+        values = np.stack([coset.invariants(field, cls) for cls in (0, 1)])[trace[a], shifted]
+        valid = shifted != 1
+        assert np.array_equal((values > 0)[valid], (plane <= 4)[valid])
