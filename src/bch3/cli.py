@@ -133,11 +133,11 @@ def _cmd_verify(args) -> dict:
         differ[1] = False  # B = 1 is the degenerate lam = 0
         mismatches += [{"tr_a": cls, "b": _hex(b)} for b in np.flatnonzero(differ)]
     payload = {"mode": "exhaustive", "checked": 2 * (field.q - 1), "mismatches": mismatches}
-    if args.m in (5, 7):
-        boundary = coset.calibrate_boundary(args.m, args.modulus)
-        payload["boundary"] = {str(cls): v for cls, v in boundary.items()}
     if mismatches:
+        # reported before the calibration, which reads the same closed form
         raise DomainFailure("oracle disagreement", payload)
+    boundary = coset.calibrate_boundary(args.m, args.modulus)
+    payload["boundary"] = {str(cls): v for cls, v in boundary.items()}
     return payload
 
 
@@ -268,13 +268,11 @@ def main(argv=None) -> int:
         return 1
     elapsed = time.perf_counter() - start
     modulus = payload.get("modulus")
-    if modulus is None and getattr(args, "modulus", None) is not None:
-        modulus = _hex(args.modulus)
-    if modulus is None and hasattr(args, "m"):
+    if modulus is None:
         try:
-            modulus = _hex(make_field(args.m).modulus)
+            modulus = _hex(make_field(args.m, getattr(args, "modulus", None)).modulus)
         except ValueError:
-            modulus = None
+            pass  # no field of this degree: the envelope says null
     report = {
         "command": args.command,
         "m": args.m,

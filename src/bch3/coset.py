@@ -14,6 +14,7 @@ and the trace class of A.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -122,11 +123,7 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     for cls in (0, 1):
         hist = np.bincount(np.delete(invariants(field, cls), 1))  # B = 1 is lam = 0
         per_class.append({int(v): int(c) for v, c in enumerate(hist) if c})
-    merged: dict[int, int] = {}
-    for hist in per_class:
-        for value, count in hist.items():
-            merged[value] = merged.get(value, 0) + count
-    merged = dict(sorted(merged.items()))
+    merged = dict(sorted((Counter(per_class[0]) + Counter(per_class[1])).items()))
     table = DistributionTable(
         m=m, modulus=field.modulus, per_class=(per_class[0], per_class[1]), normalized=merged
     )
@@ -197,7 +194,6 @@ def heuristic_even_interval(m: int) -> tuple[int, int]:
 
 def bounds(m: int) -> BoundReport:
     """All three enclosures for 2^m."""
-    _require_odd(m)
     return BoundReport(
         q=1 << m,
         weil=weil_interval(m),
@@ -258,21 +254,16 @@ def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:
     For every valid B the quantity q + 1 - t_combined - 24*N must come out
     the same within a trace class (the rational points sitting above
     x = 0, 1, infinity); a drift signals a broken boundary convention in
-    the trace derivation.
+    the trace derivation.  One array pass over the lam != 0 columns.
     """
-    if m not in (5, 7):
-        raise ValueError("calibration runs on the oracle-sized fields m=5 and m=7")
     field = make_field(m, modulus)
-    q = field.q
+    lam = np.arange(1, field.q)
     out: dict[int, int] = {}
     for cls in (0, 1):
-        seen = set()
-        for b in range(q):
-            if b == 1:
-                continue
-            profile = curves.curve_traces(curves.curve_params(field, cls, b))
-            seen.add(q + 1 - profile.t_combined - 24 * N_of(field, cls, b))
-        if len(seen) != 1:
-            raise AssertionError(f"boundary constant drifts within class {cls}: {sorted(seen)}")
-        out[cls] = seen.pop()
+        t_combined = curves.traces_at(field, cls, lam)[-1]
+        const = field.q + 1 - t_combined - 24 * invariants(field, cls)[lam ^ 1]
+        if (const != const[0]).any():
+            seen = sorted(set(const.tolist()))
+            raise AssertionError(f"boundary constant drifts within class {cls}: {seen}")
+        out[cls] = int(const[0])
     return out

@@ -157,36 +157,41 @@ def g_count(field: FieldSpec, lam: int) -> int:
     return int(_count_table(field)[7, lam])
 
 
-def curve_traces(params: CurveParams) -> TraceProfile:
-    """Fibre counts and Frobenius traces of the seven Jacobian factors.
+def _offset(field: FieldSpec, trace_class_a: int) -> int:
+    """Tr(A + 1) for normalized A: Tr(1) = 1 holds for odd m only."""
+    if field.m % 2 == 0:
+        raise ValueError("trace derivation requires odd extension degree")
+    return trace_class_a ^ 1
+
+
+def traces_at(field: FieldSpec, trace_class_a: int, lam):
+    """(n, t1, t3, t5, tg, t_combined) at one lam, or elementwise over an
+    array of nonzero lams, from the count table.
 
     Boundary conventions: the cubic-polynomial cover contributes one point
     at infinity (t1 counts over F_q plus that point); the covers with
     poles contribute one ramified point per pole (t3, t5, tg count over
     F_q^* plus two points).
     """
-    field = params.field
-    if field.m % 2 == 0:
-        raise ValueError("trace derivation requires odd extension degree")
     q = field.q
-    off = params.trace_class_a ^ 1  # trace of the constant A+1 for odd m
-    *counts, g = _count_table(field)[:, params.lam].tolist()
+    off = _offset(field, trace_class_a)
+    columns = _count_table(field)[:, lam]
+    *counts, g = columns if columns.ndim > 1 else columns.tolist()  # Python ints for one lam
     offsets = (off, off, off, 0, 0, 0, off)
-    n = tuple(q - 1 - c if o else c for c, o in zip(counts, offsets))
+    n = [q - 1 - c if o else c for c, o in zip(counts, offsets)]
     # x = 0 lies on the polynomial cover; its fibre splits iff the constant
     # has trace zero.
     t1 = q - 2 * (n[0] + (1 - off))
     t3 = q - 1 - 2 * n[2]
     t5 = q - 1 - 2 * n[4]
     tg = q - 1 - 2 * g
-    return TraceProfile(
-        n=n,
-        t1=t1,
-        t3=t3,
-        t5=t5,
-        tg=tg,
-        t_combined=2 * t1 + 2 * t3 + 2 * t5 + tg,
-    )
+    return n, t1, t3, t5, tg, 2 * t1 + 2 * t3 + 2 * t5 + tg
+
+
+def curve_traces(params: CurveParams) -> TraceProfile:
+    """Fibre counts and Frobenius traces of the seven Jacobian factors."""
+    n, *traces = traces_at(params.field, params.trace_class_a, params.lam)
+    return TraceProfile(tuple(n), *traces)
 
 
 def split_count(subset: str, params: CurveParams) -> int:
@@ -207,7 +212,7 @@ def split_count(subset: str, params: CurveParams) -> int:
         raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
     field = params.field
     q = field.q
-    off = params.trace_class_a ^ 1
+    off = _offset(field, params.trace_class_a)
     counts = _count_table(field)[:, params.lam].tolist()
     chosen = sum(1 << (i - 1) for i in SUBSETS[subset])
     acc = 0
@@ -230,10 +235,10 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
     Lower endpoints are clamped at zero; counts are nonnegative even when
     the small-q formulas dip below it.
     """
+    tr_a1 = _offset(field, trace_class_a)
     q = field.q
     t = math.isqrt(4 * q)
     s = 1 << ((field.m + 3) // 2)  # 2*sqrt(2q), exact for odd m
-    tr_a1 = trace_class_a ^ 1
     if subset == "f1f2":
         base = q - 7 if tr_a1 == 0 else q + 1
         lo, hi = (base - 3 * t - s) / 8, (base + 3 * t + s) / 8

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, inverse_table, log_tables, make_field, power_table
+from .gf2m import FieldSpec, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 11
@@ -119,6 +119,43 @@ def _group_order(field: FieldSpec) -> int:
     return 1 << _f2_rank(gens)
 
 
+def _scaling(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scaled, scaled << m, log_of): scaled[log_of[v] + k] = v * g^k for 0 <= k < q - 1,
+    zero included (two periods of exp, then the zero block log_of[0] points into)."""
+    exp, log = log_tables(field)
+    scaled = np.concatenate([exp, exp, 0 * exp])
+    return scaled, scaled << field.m, np.append(2 * len(exp), log[1:])
+
+
+def _orbit_labels(field: FieldSpec) -> np.ndarray:
+    """label[t] = the least state in the orbit of state t, an int32 table
+    over the 2q^2 states of _orbit_depths (see docs/covering_radius_bfs.md):
+    first the least member of each scaling orbit (0, c^3 a, c^5 b) of the
+    s1 = 0 slice, then, in place on both slices, the least label among the
+    m Frobenius conjugates (s1, a, b), (s1, a^2, b^2), (s1, a^4, b^4), ...
+    """
+    m, q, n = field.m, field.q, field.q - 1
+    scaled, scaled_hi, log_of = _scaling(field)
+    k3, k5 = (e * np.arange(n) % n for e in (3, 5))
+    rows = max(1, _CHUNK // n)
+    label = np.arange(2 * q * q, dtype=np.int32)
+    label[: q * q] = -1  # unlabelled
+    for lo in range(0, q * q, _CHUNK):
+        block = lo + np.flatnonzero(label[lo : lo + _CHUNK] < 0)
+        while len(block := block[label[block] < 0]):
+            state = block[:rows, None]
+            orbit = scaled_hi[log_of[state >> m] + k3] | scaled[log_of[state & n] + k5]
+            label[orbit] = orbit.min(axis=1, keepdims=True)
+    square = power_table(field, 2).astype(np.int32)
+    frobenius = (square[:, None] << m | square).ravel()  # (a, b) -> (a^2, b^2) within a slice
+    for plane in (label[: q * q], label[q * q :]):
+        for _ in range(m - 1):
+            for lo in range(0, q * q, _CHUNK):
+                part = plane[lo : lo + _CHUNK]
+                np.minimum(part, plane[frobenius[lo : lo + _CHUNK]], out=part)
+    return label
+
+
 def _orbit_depths(field: FieldSpec, group_order: int) -> np.ndarray:
     """BFS depth from 0 of every scaling-orbit normal form; -1 if unreached.
 
@@ -128,42 +165,26 @@ def _orbit_depths(field: FieldSpec, group_order: int) -> np.ndarray:
     generator of x lands on t = (s1 ^ x, a ^ x^3, b ^ x^5), which is
     rescaled by 1/(s1 ^ x) unless s1 ^ x = 0.
 
-    Each layer is closed before the next one starts: every state found by
-    a step gets its Frobenius conjugates (s1, a^2, b^2), (s1, a^4, b^4), ...
-    and every new s1 = 0 state its scaling orbit (0, c^3 a, c^5 b), all at
-    the same depth.  Only the least state of each conjugate set is
-    expanded.  The search stops once the layers hold group_order
-    syndromes, or when a step finds nothing new; the caller tells the two
-    apart by summing the layers.
+    The search expands one label per orbit (_orbit_labels) and replaces
+    each state a step hits by its label, so a whole orbit gets its depth
+    at once.  It stops once the layers hold group_order syndromes, or when
+    a step finds nothing new; the caller tells the two apart.
     """
     m, q, n = field.m, field.q, field.q - 1
-    exp, log = log_tables(field)
-    # scaled[log_of[v] + k] = v * g^k for 0 <= k < n, zero included:
-    # two periods of exp, then the zero block that log_of[0] points into.
-    scaled = np.concatenate([exp, exp, np.zeros(n, dtype=np.int64)])
-    scaled_hi = scaled << m
-    log_of = log.copy()
-    log_of[0] = 2 * n
+    scaled, scaled_hi, log_of = _scaling(field)
     xs = np.arange(1, q, dtype=np.int64)
     cube, fifth = power_table(field, 3)[1:], power_table(field, 5)[1:]
     # per slice s1: the s1 bit of s1 ^ x and the logs of its inverse cubed
     # and to the fifth, the rescaling; s1 ^ x = 0 keeps scale 1 (log 0)
-    inv_log = log[inverse_table(field)]
     steps = [
-        ((t != 0).astype(np.int64) << 2 * m, 3 * inv_log[t] % n, 5 * inv_log[t] % n)
+        ((t != 0).astype(np.int64) << 2 * m, -3 * log_of[t] % n, -5 * log_of[t] % n)
         for t in (xs, 1 ^ xs)
     ]
-    square = power_table(field, 2)
-    square_hi = square << m
-    ks = np.arange(n, dtype=np.int64)
-    k3, k5 = 3 * ks % n, 5 * ks % n
     rows = max(1, _CHUNK // n)
-
+    label = _orbit_labels(field)
     depth = np.full(2 * q * q, -1, dtype=np.int8)
     depth[0] = 0
     hit = np.zeros(depth.shape, dtype=bool)
-    least = np.zeros(depth.shape, dtype=bool)  # the least state of each conjugate set found
-    closed = np.zeros(q * q, dtype=bool)  # the s1 = 0 slice: orbits marked this depth
     frontier = np.zeros(1, dtype=np.int64)
     reached, d = 1, 0
     while reached < group_order:
@@ -175,36 +196,28 @@ def _orbit_depths(field: FieldSpec, group_order: int) -> np.ndarray:
                 a = scaled_hi[log_of[state >> m & n ^ cube] + inv3]
                 b = scaled[log_of[state & n ^ fifth] + inv5]
                 hit[top | a | b] = True
-        found = hit & (depth < 0)
-        if not found.any():
-            return depth  # stalled short of group_order
-        # mark the conjugates of every state found, a slice of the table at
-        # a time; the least member of each conjugate set stands for the
-        # whole set in the next frontier
-        least[:] = False
-        for lo in range(0, len(found), _CHUNK):
-            state = low = lo + np.flatnonzero(found[lo : lo + _CHUNK])
-            for _ in range(m - 1):
-                state = state >> 2 * m << 2 * m | square_hi[state >> m & n] | square[state & n]
-                hit[state] = True
-                low = np.minimum(low, state)
-            least[low] = True
-        frontier = np.flatnonzero(least)
-        new = hit & (depth < 0)
-        # close each new s1 = 0 scaling orbit once: a state that an earlier
-        # block already marked has its orbit marked with it
-        closed[:] = False
-        zero = new[: q * q]
-        for lo in range(0, q * q, _CHUNK):
-            block = lo + np.flatnonzero(zero[lo : lo + _CHUNK])
-            while len(block := block[~closed[block]]):
-                state = block[:rows, None]
-                closed[scaled_hi[log_of[state >> m] + k3] | scaled[log_of[state & n] + k5]] = True
-        zero |= closed
-        d += 1
-        depth[new] = d
-        reached += (q - 1) * np.count_nonzero(new[q * q :]) + np.count_nonzero(zero)
-    return depth
+        # replace each state hit by its label, a slice of the table at a
+        # time; a label is never above its state, so it lands in a slice
+        # that is already done
+        for lo in range(0, len(hit), _CHUNK):
+            state = lo + np.flatnonzero(hit[lo : lo + _CHUNK])
+            hit[state] = False
+            hit[label[state]] = True
+        frontier = np.flatnonzero(hit & (depth < 0))
+        if not len(frontier):
+            break  # stalled short of group_order
+        depth[frontier] = d = d + 1
+        reached = sum(_layers(depth[label], q))
+    return depth[label]
+
+
+def _layers(depth: np.ndarray, q: int) -> list[int]:
+    """Syndromes per depth: q - 1 per s1 = 1 normal form, one per s1 = 0 state."""
+    plain, orbits = depth[: q * q], depth[q * q :]
+    return [
+        int((q - 1) * np.count_nonzero(orbits == d) + np.count_nonzero(plain == d))
+        for d in range(depth.max() + 1)
+    ]
 
 
 def covering_radius(m: int) -> CoveringRadiusReport:
@@ -224,17 +237,10 @@ def covering_radius(m: int) -> CoveringRadiusReport:
     if not 4 <= m <= BFS_MAX_M:
         raise ValueError(f"the covering-radius search covers 4 <= m <= {BFS_MAX_M}, got m={m}")
     field = make_field(m)
-    q = field.q
     group_order = _group_order(field)
-    depth = _orbit_depths(field, group_order)
-    rho = int(depth.max())
-    plain, orbits = depth[: q * q], depth[q * q :]
-    # an s1 = 1 normal form stands for q - 1 syndromes, an s1 = 0 state for one
-    layers = (q - 1) * np.bincount(orbits[orbits >= 0], minlength=rho + 1)
-    layers += np.bincount(plain[plain >= 0], minlength=rho + 1)
-    reached = tuple(int(v) for v in layers)
+    reached = tuple(_layers(_orbit_depths(field, group_order), field.q))
     if sum(reached) != group_order:
         raise AssertionError(
             f"BFS layers hold {sum(reached)} syndromes, the syndrome group {group_order}"
         )
-    return CoveringRadiusReport(m=m, rho=rho, reached_at_weight=reached)
+    return CoveringRadiusReport(m=m, rho=len(reached) - 1, reached_at_weight=reached)

@@ -124,7 +124,12 @@ class TestCommands:
         # every run compares all 2(q - 1) pairs; there is no sampled mode
         code, report = run_json(capsys, "verify", "--m", "11")
         assert code == 0
-        assert report["payload"] == {"mode": "exhaustive", "checked": 4094, "mismatches": []}
+        assert report["payload"] == {
+            "mode": "exhaustive",
+            "checked": 4094,
+            "mismatches": [],
+            "boundary": {"0": 0, "1": 12},
+        }
 
     def test_covering_radius(self, capsys):
         code, report = run_json(capsys, "covering-radius", "--m", "4")
@@ -176,6 +181,15 @@ class TestFormatsAndErrors:
 
     def test_even_m_exit_one(self, capsys):
         assert cli.main(["table", "--m", "6"]) == 1
+
+    def test_split_even_m_exit_one(self, capsys):
+        # Tr(1) = 0 for even m, so the split formulas do not apply
+        assert cli.main(["split", "--m", "6", "--b", "0x3", "--subset", "f3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_bad_modulus_exit_one(self, capsys):
         assert cli.main(["field", "--m", "5", "--modulus", "0x3f"]) == 1

@@ -225,10 +225,13 @@ class TestCalibration:
         assert calibrate_boundary(5) == {0: 0, 1: 12}
         assert calibrate_boundary(7) == {0: 0, 1: 12}
         assert calibrate_boundary(7, 0x89) == {0: 0, 1: 12}
+        for m in (3, 9, 11, 13, 15):  # one array pass, at every odd m
+            assert calibrate_boundary(m) == {0: 0, 1: 12}
 
     def test_unsupported_m(self):
-        with pytest.raises(ValueError):
-            calibrate_boundary(9)
+        # the trace formulas need Tr(1) = 1, so odd m
+        with pytest.raises(ValueError, match="odd extension degree"):
+            calibrate_boundary(6)
 
     def test_combined_trace_identity(self, f5):
         boundary = {0: 0, 1: 12}

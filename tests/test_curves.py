@@ -173,6 +173,14 @@ class TestTraceProfiles:
 
 
 class TestSplitCounts:
+    @pytest.mark.parametrize("subset", sorted(curves.SUBSETS))
+    def test_even_degree_rejected(self, f4, subset):
+        # both read Tr(A + 1) through Tr(1) = 1, which fails for even m
+        with pytest.raises(ValueError, match="odd extension degree"):
+            split_count(subset, curve_params(f4, 0, 0))
+        with pytest.raises(ValueError, match="odd extension degree"):
+            split_interval(subset, f4, 0)
+
     def test_unknown_subset(self, f5):
         with pytest.raises(ValueError):
             split_count("f5", curve_params(f5, 0, 0))

@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch3 import coset, oracle
-from bch3.gf2m import make_field, power_table
+from bch3.gf2m import log_tables, make_field, mul_array, power_table
 from bch3.oracle import brute_N, covering_radius
 from conftest import full_group_bfs_layers, weight4_histogram_by_triples
 
@@ -126,6 +126,41 @@ class TestBruteN:
         field = make_field(7)
         ta, tb = translated_syndrome(field, a, b, s)
         assert brute_N(field, a, b) == brute_N(field, ta, tb)
+
+
+class TestOrbitLabels:
+    """The labels the covering-radius BFS runs on, checked without an oracle."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+    def test_label_is_least_member_of_its_orbit(self, m):
+        field = make_field(m)
+        q, n = field.q, field.q - 1
+        label = oracle._orbit_labels(field).astype(np.int64)
+        state = np.arange(2 * q * q)
+        assert np.array_equal(label[label], label)
+        assert (label <= state).all()
+        # constant under Frobenius (s1, a, b) -> (s1, a^2, b^2) on both slices
+        s1, a, b = state >> 2 * m, state >> m & n, state & n
+        square = power_table(field, 2)
+        assert np.array_equal(label[s1 << 2 * m | square[a] << m | square[b]], label)
+        # constant under one scaling step (0, a, b) -> (0, g^3 a, g^5 b); g
+        # generates F_q^*, so under every scaling
+        g = int(log_tables(field)[0][1])
+        a, b = a[: q * q], b[: q * q]
+        scaled = mul_array(field, field.pow(g, 3), a) << m | mul_array(field, field.pow(g, 5), b)
+        assert np.array_equal(label[scaled], label[: q * q])
+        # one label per orbit: Burnside's count of the orbits of Frobenius
+        # on the s1 = 1 slice, and of (a, b) -> (c^3 a^(2^k), c^5 b^(2^k))
+        # on the s1 = 0 slice; with c = g^l the fixed a != 0 solve
+        # (2^k - 1) log a = -3l mod n, which has e_k = 2^gcd(k, m) - 1
+        # solutions when e_k divides 3l and none otherwise
+        labels = label == state
+        assert m * np.count_nonzero(labels[q * q :]) == sum(4 ** gcd(k, m) for k in range(m))
+        fixed = 0
+        for k in range(m):
+            e = (1 << gcd(k, m)) - 1
+            fixed += sum((1 + e * (3 * l % e == 0)) * (1 + e * (5 * l % e == 0)) for l in range(n))
+        assert n * m * np.count_nonzero(labels[: q * q]) == fixed
 
 
 class TestCoveringRadius:
