@@ -112,7 +112,9 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
 
     Values for both trace classes come out of a single batched pass over
     the fibre-count tables; B is the element lam + 1 as lam runs over
-    F_q^*, so exactly q - 1 parameters land in each class.
+    F_q^*, so exactly q - 1 parameters land in each class.  Checked
+    before it is returned: the class totals, the first moment
+    sum N = (q - 2)(q - 4)/12 and the refined interval.
     """
     _require_odd(m)
     if not SUPPORTED_M[0] <= m <= SUPPORTED_M[-1]:
@@ -129,6 +131,10 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     )
     if sum(merged.values()) != 2 * (q - 1):
         raise AssertionError("class histograms must cover all q-1 parameters twice")
+    # lam = 0 carries N = 0, so the q(q - 2)(q - 4)/24 subsets of sum 1,
+    # spread over q/2 values of A per class, all land on lam != 0
+    if 12 * sum(value * count for value, count in merged.items()) != (q - 2) * (q - 4):
+        raise AssertionError("first moment of N must be (q - 2)(q - 4)/12")
     lo, hi = refined_even_interval(m)
     if min(merged) < lo or max(merged) > hi:
         raise AssertionError("a value escaped the proven interval")

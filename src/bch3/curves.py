@@ -12,6 +12,11 @@ each from one Walsh-Hadamard transform of a mask histogram.  Constant
 offsets with trace 1 only flip which x count toward a fibre total, so
 they are read as q - 1 - n; splitting counts are inclusion-exclusion over
 the same rows, because phi4..phi7 are the sums of phi1..phi3.
+
+The per-parameter invariants are table lookups as well: lambda_of reads
+a^2 from the square table, and curve_params reads j = lam^-4 as
+exp[-4*log(lam) mod (q - 1)] from the log tables, which the count
+table's build has already filled.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, inverse_table, parity, power_table, trace_mul_table
+from .gf2m import FieldSpec, inverse_table, log_tables, parity, power_table, trace_mul_table
 
 SUBSETS = {"f1f2": (1, 2), "f3": (3,), "f1f2f3": (1, 2, 3)}
 
@@ -33,14 +38,17 @@ class DegenerateLambdaError(ValueError):
 
 
 def lambda_of(field: FieldSpec, a: int, b: int) -> int:
-    """The family invariant b + a^2 + a + 1."""
-    return b ^ field.square(a) ^ a ^ 1
+    """The family invariant b + a^2 + a + 1, with a^2 read from the
+    square table."""
+    square = int(power_table(field, 2)[field._check(a)])  # checked: a negative index would wrap
+    return b ^ square ^ a ^ 1
 
 
 @dataclass(frozen=True)
 class CurveParams:
     """One member of the family: trace class of A, the element B, and the
-    derived invariants lam and j = lam^-4."""
+    derived invariants lam = B + 1 and j = lam^-4, the latter read off
+    the field's log tables as exp[-4*log(lam) mod (q - 1)]."""
 
     field: FieldSpec
     trace_class_a: int
@@ -59,7 +67,8 @@ def curve_params(field: FieldSpec, trace_class_a: int, b: int) -> CurveParams:
         raise DegenerateLambdaError(
             f"b=0x{b:x} gives lam=0: the curve degenerates into twelve lines"
         )
-    j = field.inv(field.pow(lam, 4))
+    exp, log = log_tables(field)
+    j = int(exp[-4 * int(log[lam]) % (field.q - 1)])
     return CurveParams(field=field, trace_class_a=trace_class_a, b=b, lam=lam, j_invariant=j)
 
 

@@ -7,11 +7,19 @@ the irreducible modulus; elements of different fields are only kept apart
 by passing the right FieldSpec, which is how the bulk numpy kernels can
 share the same integer encoding.
 
+The scalar FieldSpec methods (mul, square, pow, inv) are bit loops over
+one element.  They are the auditable reference the tables are tested
+against, and they bootstrap the tables (the trace mask, the generator
+search in log_tables, the basis of trace_mul_table); per-element queries
+elsewhere read the tables instead.
+
 The array kernel is mul_array, a shift-and-reduce product over whole
 int64 arrays.  It builds the per-field log/antilog tables (log_tables),
 and every per-element power table (power_table, inverse_table) is one
 lookup into them, so no per-field setup loops over the q elements in
-Python.
+Python.  Every per-field table grows from log_tables or trace_mul_table,
+and both refuse degrees above TABLE_MAX_M before allocating anything of
+size q.
 
 Hex strings ("0x25" for x^5 + x^2 + 1) are the external encoding of both
 elements and moduli.
@@ -23,6 +31,12 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
+
+# Largest degree whose per-field tables are built.  The cold count-table
+# build peaks at 0.49 GB RSS at m = 21 and 1.7 GB at m = 23 (which runs
+# under a 4 GB address-space cap); each odd step of m multiplies it by
+# about 3.5, so m = 25 would not fit well under 8 GB.
+TABLE_MAX_M = 23
 
 
 def poly_degree(p: int) -> int:
@@ -205,6 +219,13 @@ def _readonly(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def _check_table_degree(field: FieldSpec) -> None:
+    if field.m > TABLE_MAX_M:
+        raise ValueError(
+            f"m={field.m} is too large for the per-field tables (limit m <= {TABLE_MAX_M})"
+        )
+
+
 @lru_cache(maxsize=None)
 def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """(exp, log) to the base g, the least primitive element of F_q^*.
@@ -214,6 +235,7 @@ def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     dividing q - 1; x itself need not be primitive (modulus 0x1f at m = 4).
     exp is filled by doubling, exp[k:2k] = exp[:k] * g^k, in log2(q) passes.
     """
+    _check_table_degree(field)
     n = field.q - 1
     primes = _prime_factors(n)
     g = next(g for g in range(2, field.q) if all(field.pow(g, n // p) != 1 for p in primes))
@@ -251,6 +273,7 @@ def trace_mul_table(field: FieldSpec) -> np.ndarray:
     Bit j of T[u] is trace(x^j * u); linearity in u lets the whole table
     be filled by xor-ing basis masks over subsets.
     """
+    _check_table_degree(field)
     m, q = field.m, field.q
     powers = [1]
     for _ in range(2 * m - 2):

@@ -191,6 +191,25 @@ class TestFormatsAndErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nab", "--m", "31", "--tr-a", "0", "--b", "0x2"],
+            ["traces", "--m", "31", "--b", "0x2"],
+            ["split", "--m", "31", "--b", "0x2", "--subset", "f3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_huge_m_exit_one(self, capsys, argv):
+        # the per-field tables refuse the degree before allocating 2^31 entries
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "too large for the per-field tables" in lines[0]
+        assert "Traceback" not in captured.err
+
     def test_bad_modulus_exit_one(self, capsys):
         assert cli.main(["field", "--m", "5", "--modulus", "0x3f"]) == 1
 

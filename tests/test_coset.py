@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from bch3 import curves, oracle
+from bch3 import coset, curves, oracle
 from bch3.curves import DegenerateLambdaError, curve_params, curve_traces, split_count
 from bch3.coset import (
     DistributionTable,
@@ -118,6 +118,31 @@ class TestDistribution:
         for cls in (0, 1):
             assert sum(table.per_class[cls].values()) == q - 1
         assert sum(table.normalized.values()) == 2 * (q - 1)
+
+    @pytest.mark.parametrize(
+        "m, moment", [(5, 70), (7, 1302), (9, 21590), (11, 348502), (13, 5588310)]
+    )
+    def test_first_moment(self, m, moment):
+        # sum over both classes and every lam != 0 of N = (q - 2)(q - 4)/12
+        q = 1 << m
+        table = distribution(m)
+        assert sum(value * count for value, count in table.normalized.items()) == moment
+        assert 12 * moment == (q - 2) * (q - 4)
+
+    def test_first_moment_gate_fires(self, monkeypatch):
+        # one value raised by 2 stays even and inside the interval; only the
+        # moment check can see it
+        invariants = coset.invariants
+
+        def perturbed(field, cls):
+            values = invariants(field, cls).copy()
+            if cls == 0:
+                values[int(values[2:].argmin()) + 2] += 2
+            return values
+
+        monkeypatch.setattr(coset, "invariants", perturbed)
+        with pytest.raises(AssertionError, match="first moment"):
+            distribution(7)
 
     def test_keys_even_and_bounded(self):
         table = distribution(9)

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,28 @@ class TestLambda:
         for b in (0, 2, 30):
             params = curve_params(f5, 1, b)
             assert f5.mul(params.j_invariant, f5.pow(params.lam, 4)) == 1
+
+    @pytest.mark.parametrize("m, sample", [(7, None), (9, None), (13, 200)])
+    def test_j_invariant_matches_scalar_reference(self, m, sample):
+        # the log-table lookup against the scalar bit loops
+        field = make_field(m)
+        lams = range(1, field.q)
+        if sample:
+            lams = random.Random(m).sample(lams, sample)
+        for lam in lams:
+            params = curve_params(field, lam & 1, lam ^ 1)
+            assert params.j_invariant == field.inv(field.pow(lam, 4))
+
+    def test_lambda_matches_scalar_square(self, f7):
+        for a in range(f7.q):
+            for b in (0, 1, 0x5A):
+                assert lambda_of(f7, a, b) == b ^ f7.square(a) ^ a ^ 1
+
+    @pytest.mark.parametrize("a", [-1, 128])
+    def test_lambda_rejects_non_elements(self, f7, a):
+        # a negative index would otherwise wrap around the square table
+        with pytest.raises(ValueError):
+            lambda_of(f7, a, 0)
 
 
 class TestPhiEval:

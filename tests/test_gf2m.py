@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch3.gf2m import (
+    TABLE_MAX_M,
     find_default_modulus,
     inverse_table,
     is_irreducible,
@@ -196,6 +197,13 @@ class TestArrayKernel:
         assert power_table(f5, f5.q - 1).tolist() == [0] + [1] * (f5.q - 1)
         with pytest.raises(ValueError):
             power_table(f5, -1)
+
+    @pytest.mark.parametrize("root", [log_tables, trace_mul_table])
+    def test_tables_refuse_degrees_past_the_limit(self, root):
+        # every per-field table grows from these two; each refuses before
+        # allocating anything of size q
+        with pytest.raises(ValueError, match="too large for the per-field tables"):
+            root(make_field(TABLE_MAX_M + 2))
 
     def test_tables_are_read_only(self, f5):
         with pytest.raises(ValueError):

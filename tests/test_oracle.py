@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from conftest import full_group_bfs_layers, weight4_histogram_by_triples
 
 
 cached_report = lru_cache(maxsize=None)(covering_radius)
+
+LAYERS_M10 = (1, 1023, 522753, 177910271, 893909676, 1398100)
+# m = 11 takes about 15 s, too long for the suite; the run is recorded in the doc
+LAYERS_M11 = (1, 2047, 2094081, 1427465215, 7154780844, 5592404)
+BFS_DOC = Path(__file__).parents[1] / "docs" / "covering_radius_bfs.md"
 
 
 def pack(s1: int, s3: int, s5: int, m: int) -> int:
@@ -210,7 +216,22 @@ class TestCoveringRadius:
         # beyond the full-group BFS; the low layers are checked below
         report = cached_report(10)
         assert report.rho == 5
-        assert report.reached_at_weight == (1, 1023, 522753, 177910271, 893909676, 1398100)
+        assert report.reached_at_weight == LAYERS_M10
+
+    def test_m10_m11_layers_recorded_in_doc(self):
+        text = BFS_DOC.read_text()
+        assert f"m = 10: {LAYERS_M10}, sum 2^30." in text
+        assert f"m = 11: {LAYERS_M11}, sum 2^33." in text
+        assert sum(LAYERS_M11) == 1 << 33
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 11])
+    def test_layer5_pattern(self, m):
+        # an observed pattern, not a theorem: the last layer holds
+        # 4(q^2 - 1)/3 syndromes from m = 8 on, and not below
+        layers = {10: LAYERS_M10, 11: LAYERS_M11}.get(m) or cached_report(m).reached_at_weight
+        q = 1 << m
+        assert len(layers) == 6
+        assert (layers[5] == 4 * (q * q - 1) // 3) == (m >= 8)
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10])
     def test_low_layers_are_binomial(self, m):
