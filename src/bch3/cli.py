@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import coset, curves, oracle
-from .gf2m import make_field
+from .gf2m import check_table_degree, make_field
 
 
 def _hex(value: int) -> str:
@@ -47,13 +47,20 @@ def _profile_payload(profile: curves.TraceProfile, params: curves.CurveParams) -
     }
 
 
+def _table_field(args):
+    """The field of a command that reads per-field tables, refusing a
+    degree past the table limit before the modulus search runs."""
+    check_table_degree(args.m)
+    return make_field(args.m, args.modulus)
+
+
 def _cmd_field(args) -> dict:
     field = make_field(args.m, args.modulus)
     return {"m": field.m, "modulus": _hex(field.modulus), "q": field.q}
 
 
 def _cmd_nab(args) -> dict:
-    field = make_field(args.m, args.modulus)
+    field = _table_field(args)
     if (args.a is None) == (args.tr_a is None):
         raise UsageError("give exactly one of --tr-a or --a")
     if args.a is not None:
@@ -97,7 +104,7 @@ def _cmd_gamma(args) -> dict:
 
 
 def _cmd_traces(args) -> dict:
-    field = make_field(args.m, args.modulus)
+    field = _table_field(args)
     if args.tr_a is not None:
         params = curves.curve_params(field, args.tr_a, args.b)
         return _profile_payload(curves.curve_traces(params), params)
@@ -109,7 +116,7 @@ def _cmd_traces(args) -> dict:
 
 
 def _cmd_split(args) -> dict:
-    field = make_field(args.m, args.modulus)
+    field = _table_field(args)
     params = curves.curve_params(field, args.tr_a, args.b)
     count = curves.split_count(args.subset, params)
     interval = curves.split_interval(args.subset, field, args.tr_a)
@@ -123,7 +130,7 @@ def _cmd_split(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    field = make_field(args.m, args.modulus)
+    field = _table_field(args)
     # the oracle rows first: past the oracle's limit they fail before any
     # count table is built
     rows = [oracle.weight4_row(field, cls) for cls in (0, 1)]

@@ -40,6 +40,7 @@ class DegenerateLambdaError(ValueError):
 def lambda_of(field: FieldSpec, a: int, b: int) -> int:
     """The family invariant b + a^2 + a + 1, with a^2 read from the
     square table."""
+    field._check(b)
     square = int(power_table(field, 2)[field._check(a)])  # checked: a negative index would wrap
     return b ^ square ^ a ^ 1
 
@@ -89,35 +90,35 @@ _INDEX_OF_BITS = (0, 1, 2, 4, 3, 5, 6, 7)
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of each row, in place, with the
-    (-1)^popcount(i & j) kernel."""
-    rows, n = a.shape
-    # One scratch buffer for all stages: fresh per-stage temporaries of this
-    # size page-fault in a cold process and doubled the cold build time.
-    diff = np.empty((rows, n // 2), dtype=a.dtype)
-    h = 1
-    while h < n:
-        v = a.reshape(rows, -1, 2, h)
-        x, y = v[:, :, 0, :], v[:, :, 1, :]
-        d = diff.reshape(rows, -1, h)
-        np.subtract(x, y, out=d)
-        x += y
-        y[...] = d
-        h *= 2
-    return a
+    """Walsh-Hadamard transform of each row of a, with the
+    (-1)^popcount(i & j) kernel, into a new array; a is used as scratch.
 
-
-@lru_cache(maxsize=None)
-def _count_table(field: FieldSpec) -> np.ndarray:
-    """Read-only int64 table of shape (8, q): row i-1 is n_i(lam) =
-    #{x in F_q^* : trace(phi_i(x)) = 0}, row 7 is the count for
-    g = lam*x^3 + 1/x.  Column lam = 0 is filler.
-
-    With masks M such that trace(lam * psi(x)) = parity(lam & M[x]), the
-    Walsh-Hadamard transform of the mask histogram evaluates
-    sum_x (-1)^trace(lam*psi(x)) for every lam at once, exact in int64.
-    The masks exist only while the table is built.
+    Each stage is one add and one subtract into the other buffer.  A row
+    of length n = hi*lo runs in two phases: the stages on the high bits,
+    whose blocks are lo or more long, then a transpose that makes the low
+    bits high, their stages on blocks hi or more long, and a transpose
+    back, so no stage has a short inner loop.
     """
+    rows, n = a.shape
+    lo = 1 << (n.bit_length() - 1) // 2
+    src, dst = a, np.empty_like(a)
+    for block in (lo, n // lo):
+        h = block
+        while h < n:
+            v, out = src.reshape(rows, -1, 2, h), dst.reshape(rows, -1, 2, h)
+            np.add(v[:, :, 0], v[:, :, 1], out=out[:, :, 0])
+            np.subtract(v[:, :, 0], v[:, :, 1], out=out[:, :, 1])
+            src, dst = dst, src
+            h *= 2
+        flipped = src.reshape(rows, n // block, block).transpose(0, 2, 1)
+        dst.reshape(rows, block, n // block)[...] = flipped
+        src, dst = dst, src
+    return src
+
+
+def _mask_histograms(field: FieldSpec) -> np.ndarray:
+    """int32 array of shape (8, q) whose row transforms are the character
+    sums behind _count_table; the q-sized masks die with this frame."""
     q = field.q
     T = trace_mul_table(field)
     inv = inverse_table(field)
@@ -125,7 +126,7 @@ def _count_table(field: FieldSpec) -> np.ndarray:
     cube = power_table(field, 3)
     # trace_mul_table is linear, so the masks of phi4..phi7 are sums of these.
     m1, m2, m3 = (T[psi[1:]] for psi in (cube ^ xs, cube[inv] ^ inv, xs ^ inv))
-    sums = np.empty((8, q), dtype=np.int64)
+    sums = np.empty((8, q), dtype=np.int32)
     for row, masks in enumerate((m1, m2, m3, m1 ^ m2, m1 ^ m3, m2 ^ m3, m1 ^ m2 ^ m3)):
         sums[row] = np.bincount(masks, minlength=q)
     # trace(lam*x^3 + 1/x) = parity(lam & T[x^3]) xor trace(1/x): sign each
@@ -133,10 +134,28 @@ def _count_table(field: FieldSpec) -> np.ndarray:
     masks = T[cube[1:]]
     flip = parity(inv[1:] & field.trace_mask).astype(bool)
     sums[7] = np.bincount(masks[~flip], minlength=q) - np.bincount(masks[flip], minlength=q)
-    _fwht(sums)
-    if ((sums ^ (q - 1)) & 1).any():
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _count_table(field: FieldSpec) -> np.ndarray:
+    """Read-only int32 table of shape (8, q): row i-1 is n_i(lam) =
+    #{x in F_q^* : trace(phi_i(x)) = 0}, row 7 is the count for
+    g = lam*x^3 + 1/x.  Column lam = 0 is filler.
+
+    With masks M such that trace(lam * psi(x)) = parity(lam & M[x]), the
+    Walsh-Hadamard transform of the mask histogram evaluates
+    sum_x (-1)^trace(lam*psi(x)) for every lam at once.  Every value of
+    the transform lies within +-(q - 1), so int32 is exact up to m = 30.
+    The histograms and the transform's scratch buffer are freed before
+    the table is finished in place, which keeps the build's peak memory
+    at the mask stage.
+    """
+    table = _fwht(_mask_histograms(field))
+    table += field.q - 1
+    if (table & 1).any():
         raise AssertionError("character sums must match the count parity")
-    table = (q - 1 + sums) >> 1
+    table >>= 1
     table.flags.writeable = False
     return table
 

@@ -13,13 +13,15 @@ against, and they bootstrap the tables (the trace mask, the generator
 search in log_tables, the basis of trace_mul_table); per-element queries
 elsewhere read the tables instead.
 
-The array kernel is mul_array, a shift-and-reduce product over whole
-int64 arrays.  It builds the per-field log/antilog tables (log_tables),
-and every per-element power table (power_table, inverse_table) is one
-lookup into them, so no per-field setup loops over the q elements in
-Python.  Every per-field table grows from log_tables or trace_mul_table,
-and both refuse degrees above TABLE_MAX_M before allocating anything of
-size q.
+The array kernel is mul_const, a product by one constant over a whole
+int64 array: v -> c*v is F_2-linear, so it is two lookups into
+half-width tables filled by xor-ing basis products over subsets, the
+way trace_mul_table is filled.  It builds the per-field log/antilog
+tables (log_tables), and every per-element power table (power_table,
+inverse_table) is one lookup into them, so no per-field setup loops over
+the q elements in Python.  Every per-field table grows from log_tables
+or trace_mul_table, and both refuse degrees above TABLE_MAX_M
+(check_table_degree) before allocating anything of size q.
 
 Hex strings ("0x25" for x^5 + x^2 + 1) are the external encoding of both
 elements and moduli.
@@ -33,9 +35,9 @@ from functools import lru_cache
 import numpy as np
 
 # Largest degree whose per-field tables are built.  The cold count-table
-# build peaks at 0.49 GB RSS at m = 21 and 1.7 GB at m = 23 (which runs
+# build peaks at 0.31 GB RSS at m = 21 and 1.15 GB at m = 23 (which runs
 # under a 4 GB address-space cap); each odd step of m multiplies it by
-# about 3.5, so m = 25 would not fit well under 8 GB.
+# about 3.7, so m = 25 (about 4 GB) would not fit well under 8 GB.
 TABLE_MAX_M = 23
 
 
@@ -183,22 +185,6 @@ def make_field(m: int, modulus: int | None = None) -> FieldSpec:
     return FieldSpec(m, modulus)
 
 
-def mul_array(field: FieldSpec, a, b) -> np.ndarray:
-    """Elementwise product of two broadcastable int64 arrays of elements.
-
-    The algorithm of FieldSpec.mul, run on whole arrays: one pass per bit
-    of b, so the loop runs m times whatever the array size.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    a = a.copy()
-    r = np.zeros(a.shape, dtype=np.int64)
-    for j in range(field.m):
-        r ^= a & -((b >> j) & 1)
-        a <<= 1
-        a ^= (a >> field.m) * field.modulus
-    return r
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 2, by trial division."""
     factors = []
@@ -219,11 +205,35 @@ def _readonly(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _check_table_degree(field: FieldSpec) -> None:
-    if field.m > TABLE_MAX_M:
-        raise ValueError(
-            f"m={field.m} is too large for the per-field tables (limit m <= {TABLE_MAX_M})"
-        )
+def check_table_degree(m: int) -> None:
+    """Refuse a degree whose per-field tables are not built, before any
+    field of that degree is constructed."""
+    if m > TABLE_MAX_M:
+        raise ValueError(f"m={m} is too large for the per-field tables (limit m <= {TABLE_MAX_M})")
+
+
+def _span_table(basis: list[int]) -> np.ndarray:
+    """table[s] = xor of basis[j] over the set bits j of s, for every s
+    below 2^len(basis), filled one basis vector at a time."""
+    table = np.zeros(1 << len(basis), dtype=np.int64)
+    for k, vector in enumerate(basis):
+        table[1 << k : 2 << k] = table[: 1 << k] ^ vector
+    return table
+
+
+def mul_const(field: FieldSpec, c: int, v: np.ndarray) -> np.ndarray:
+    """c * v elementwise, for one element c and an int64 array v of elements.
+
+    v -> c*v is F_2-linear, so it is the xor of one lookup on the low
+    m//2 bits of v and one on the rest, into tables spanned by the basis
+    products c*x^j.
+    """
+    products = [field._check(c)]
+    for _ in range(field.m - 1):
+        products.append(field.mul(products[-1], 2))
+    half = field.m // 2
+    low, high = _span_table(products[:half]), _span_table(products[half:])
+    return low[v & ((1 << half) - 1)] ^ high[v >> half]
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +243,10 @@ def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     exp[k] = g^k for 0 <= k < q - 1, and log[exp[k]] = k, with log[0] = 0
     as filler.  g passes the order test g^((q-1)/p) != 1 for every prime p
     dividing q - 1; x itself need not be primitive (modulus 0x1f at m = 4).
-    exp is filled by doubling, exp[k:2k] = exp[:k] * g^k, in log2(q) passes.
+    exp is filled by doubling, exp[k:2k] = exp[:k] * g^k, in log2(q)
+    passes of mul_const.
     """
-    _check_table_degree(field)
+    check_table_degree(field.m)
     n = field.q - 1
     primes = _prime_factors(n)
     g = next(g for g in range(2, field.q) if all(field.pow(g, n // p) != 1 for p in primes))
@@ -243,7 +254,7 @@ def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     k, gk = 1, g
     while k < n:
         stop = min(2 * k, n)
-        exp[k:stop] = mul_array(field, exp[: stop - k], gk)
+        exp[k:stop] = mul_const(field, gk, exp[: stop - k])
         k, gk = stop, field.mul(gk, gk)
     log = np.zeros(field.q, dtype=np.int64)
     log[exp] = np.arange(n, dtype=np.int64)
@@ -273,18 +284,13 @@ def trace_mul_table(field: FieldSpec) -> np.ndarray:
     Bit j of T[u] is trace(x^j * u); linearity in u lets the whole table
     be filled by xor-ing basis masks over subsets.
     """
-    _check_table_degree(field)
-    m, q = field.m, field.q
+    check_table_degree(field.m)
+    m = field.m
     powers = [1]
     for _ in range(2 * m - 2):
         powers.append(field.mul(powers[-1], 2))
     trs = [field.trace(p) for p in powers]
-    table = np.zeros(q, dtype=np.int64)
-    for k in range(m):
-        basis_mask = 0
-        for j in range(m):
-            basis_mask |= trs[j + k] << j
-        table[1 << k : 2 << k] = table[0 : 1 << k] ^ basis_mask
+    table = _span_table([sum(trs[j + k] << j for j in range(m)) for k in range(m)])
     return _readonly(table)
 
 

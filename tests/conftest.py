@@ -3,8 +3,10 @@
 The reference helpers here recompute traces and fibre counts straight
 from the definitions (Frobenius-power sums, per-x field evaluation), so
 the fast mask kernels are always checked against an independent path;
-full_group_bfs_layers and weight4_histogram_by_triples do the same for
-the orbit BFS and the translation-orbit histogram of the oracle.
+mul_array (shift-and-reduce products over whole arrays) stands behind
+the constant multiplier of the field tables, and full_group_bfs_layers
+and weight4_histogram_by_triples do the same for the orbit BFS and the
+translation-orbit histogram of the oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,22 @@ def f7() -> FieldSpec:
 @pytest.fixture(scope="session")
 def f9() -> FieldSpec:
     return make_field(9)
+
+
+def mul_array(field: FieldSpec, a, b) -> np.ndarray:
+    """Elementwise product of two broadcastable int64 arrays of elements.
+
+    The algorithm of FieldSpec.mul, run on whole arrays: one
+    shift-and-reduce pass per bit of b, whatever the array size.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    a = a.copy()
+    r = np.zeros(a.shape, dtype=np.int64)
+    for j in range(field.m):
+        r ^= a & -((b >> j) & 1)
+        a <<= 1
+        a ^= (a >> field.m) * field.modulus
+    return r
 
 
 def trace_by_definition(field: FieldSpec, a: int) -> int:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bch3 import cli
+from bch3 import cli, gf2m
 
 
 def run(capsys, *argv):
@@ -197,11 +197,17 @@ class TestFormatsAndErrors:
             ["nab", "--m", "31", "--tr-a", "0", "--b", "0x2"],
             ["traces", "--m", "31", "--b", "0x2"],
             ["split", "--m", "31", "--b", "0x2", "--subset", "f3"],
+            ["verify", "--m", "31"],
         ],
         ids=lambda argv: argv[0],
     )
-    def test_huge_m_exit_one(self, capsys, argv):
-        # the per-field tables refuse the degree before allocating 2^31 entries
+    def test_huge_m_exit_one(self, capsys, monkeypatch, argv):
+        # refused before the modulus search, whose trial division takes
+        # seconds at these degrees, and so before any table of 2^31 entries
+        def search(m):
+            pytest.fail(f"modulus search reached for m={m}")
+
+        monkeypatch.setattr(gf2m, "find_default_modulus", search)
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -209,6 +215,13 @@ class TestFormatsAndErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "too large for the per-field tables" in lines[0]
         assert "Traceback" not in captured.err
+
+    def test_out_of_range_b_is_named(self, capsys):
+        # b is checked itself, not through lam = b + a^2 + a + 1 = 0x46
+        assert cli.main(["nab", "--m", "5", "--a", "0x3", "--b", "0x40"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 0x40 is not an element of F_2^5\n"
 
     def test_bad_modulus_exit_one(self, capsys):
         assert cli.main(["field", "--m", "5", "--modulus", "0x3f"]) == 1

@@ -2,6 +2,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bch3 import curves
@@ -16,8 +17,15 @@ from bch3.curves import (
     split_count,
     split_interval,
 )
-from bch3.gf2m import make_field
-from conftest import g_count_slow, n_count_slow, phi_by_hand, read_profile_fixture, trace_by_definition
+from bch3.gf2m import inverse_table, make_field
+from conftest import (
+    g_count_slow,
+    mul_array,
+    n_count_slow,
+    phi_by_hand,
+    read_profile_fixture,
+    trace_by_definition,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "trace_profiles_m5.tsv"
 
@@ -149,6 +157,64 @@ class TestCounts:
         for lam in (1, 2, 45, 100, 127):
             for i in range(1, 8):
                 assert int(table[i - 1, lam]) == n_count_slow(f7, i, lam, 0)
+
+
+class TestWalshHadamard:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_sylvester_product(self, m):
+        n = 1 << m
+        idx = np.arange(n)
+        hadamard = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
+        rng = np.random.default_rng(m)
+        top = (1 << 30) - 1  # q - 1 at m = 30, the largest degree int32 holds exactly
+        rows = np.zeros((4, n), dtype=np.int64)
+        # a mask histogram of n - 1 entries, and a signed one like row 7
+        rows[0] = np.bincount(rng.integers(0, n, n - 1), minlength=n)
+        signs = rng.integers(0, 2, n - 1).astype(bool)
+        masks = rng.integers(0, n, n - 1)
+        rows[1] = np.bincount(masks[signs], minlength=n) - np.bincount(masks[~signs], minlength=n)
+        rows[2, rng.integers(n)] = top
+        rows[3, rng.integers(n)] = -top
+        got = curves._fwht(rows.astype(np.int32))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, rows @ hadamard)
+
+    def test_parity_gate_fires(self, monkeypatch):
+        transform = curves._fwht
+
+        def off_by_one(a):
+            sums = transform(a)
+            sums[3, 7] += 1
+            return sums
+
+        monkeypatch.setattr(curves, "_fwht", off_by_one)
+        with pytest.raises(AssertionError, match="count parity"):
+            curves._count_table.__wrapped__(make_field(7))
+
+
+class TestBeyondThePaper:
+    """Count tables past m = 13 at a few seeded lam, against counts from
+    mul_array products and the trace mask: no transform, no
+    trace_mul_table.  The per-x references of conftest are too slow here."""
+
+    @pytest.mark.parametrize("m", [15, 17, 19])
+    def test_sampled_columns_match_direct_count(self, m):
+        field = make_field(m)
+        xs = np.arange(1, field.q, dtype=np.int64)
+        inv = inverse_table(field)[1:]
+        assert (mul_array(field, xs, inv) == 1).all()
+        cube = mul_array(field, xs, mul_array(field, xs, xs))
+        inv_cube = mul_array(field, inv, mul_array(field, inv, inv))
+
+        def traces(lam, psi):
+            return np.bitwise_count(mul_array(field, lam, psi) & field.trace_mask) & 1
+
+        table = curves._count_table(field)
+        for lam in random.Random(m).sample(range(1, field.q), 3):
+            t1, t2, t3 = (traces(lam, psi) for psi in (cube ^ xs, inv_cube ^ inv, xs ^ inv))
+            tg = traces(lam, cube) ^ (np.bitwise_count(inv & field.trace_mask) & 1)
+            rows = (t1, t2, t3, t1 ^ t2, t1 ^ t3, t2 ^ t3, t1 ^ t2 ^ t3, tg)
+            assert table[:, lam].tolist() == [int(np.count_nonzero(t == 0)) for t in rows]
 
 
 class TestTraceProfiles:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,13 @@ from bch3.gf2m import (
     inverse_table,
     is_irreducible,
     log_tables,
+    mul_const,
     make_field,
-    mul_array,
     parity,
     power_table,
     trace_mul_table,
 )
-from conftest import trace_by_definition
+from conftest import mul_array, trace_by_definition
 
 
 class TestConstruction:
@@ -185,6 +187,21 @@ class TestArrayKernel:
         exp, log = log_tables(field)
         assert sorted(exp.tolist()) == list(range(1, field.q))
         assert np.array_equal(log[exp], np.arange(field.q - 1))
+
+    @pytest.mark.parametrize("field", _kernel_fields(), ids=lambda f: f"m{f.m}-0x{f.modulus:x}")
+    def test_exp_table_holds_powers_of_its_generator(self, field):
+        exp, _ = log_tables(field)
+        g, n = int(exp[1]), field.q - 1
+        # both sides of every seam of the doubling fill, and a seeded sample
+        ks = {k for j in range(field.m) for k in ((1 << j) - 1, 1 << j, (1 << j) + 1) if k < n}
+        ks |= set(random.Random(field.modulus).sample(range(n), min(n, 64))) | {n - 1}
+        for k in sorted(ks):
+            assert int(exp[k]) == field.pow(g, k)
+
+    def test_mul_const_all_pairs(self, f5):
+        xs = np.arange(f5.q, dtype=np.int64)
+        for c in range(f5.q):
+            assert mul_const(f5, c, xs).tolist() == [f5.mul(c, v) for v in range(f5.q)]
 
     def test_mul_array_all_pairs(self, f5):
         xs = np.arange(f5.q, dtype=np.int64)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch3 import coset, oracle
-from bch3.gf2m import log_tables, make_field, mul_array, power_table
+from bch3.gf2m import log_tables, make_field, power_table
 from bch3.oracle import brute_N, covering_radius
-from conftest import full_group_bfs_layers, weight4_histogram_by_triples
+from conftest import full_group_bfs_layers, mul_array, weight4_histogram_by_triples
 
 
 cached_report = lru_cache(maxsize=None)(covering_radius)
