@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     # every run is exhaustive; the flag is accepted for existing callers
     p.add_argument("--exhaustive", action="store_true")
 
-    add("covering-radius", help="exact covering radius by syndrome BFS (4 <= m <= 11)")
+    bfs_range = f"4 <= m <= {oracle.BFS_MAX_M}"
+    add("covering-radius", help=f"exact covering radius by syndrome BFS ({bfs_range})")
 
     return parser
 

@@ -21,7 +21,7 @@ import numpy as np
 from .gf2m import FieldSpec, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 1 << 15
-BFS_MAX_M = 11
+BFS_MAX_M = 13
 _CHUNK = 1 << 14  # BFS neighbours or table entries per numpy pass; small passes stay in cache
 _SETS_CHUNK = 1 << 17  # (x, y) pairs enumerated per pass of the weight-4 oracle
 
@@ -100,15 +100,14 @@ class CoveringRadiusReport:
 
 
 def _f2_rank(vectors) -> int:
-    """Rank of a set of bit vectors over F_2 (row reduction on ints)."""
-    basis: list[int] = []
-    for v in vectors:
-        v = int(v)
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
+    """Rank of a set of bit vectors over F_2: one elimination pass per
+    pivot, which clears the pivot's top bit from every vector."""
+    vs = np.asarray(vectors, dtype=np.int64)
+    rank = 0
+    while len(vs := vs[vs != 0]):
+        vs = np.minimum(vs, vs ^ vs[0])
+        rank += 1
+    return rank
 
 
 def _group_order(field: FieldSpec) -> int:
@@ -156,7 +155,16 @@ def _orbit_labels(field: FieldSpec) -> np.ndarray:
     return label
 
 
-def _orbit_depths(field: FieldSpec, group_order: int) -> np.ndarray:
+def _listed_labels(label: np.ndarray) -> np.ndarray:
+    """The states that are their own label, sorted: one per orbit."""
+    chunks = []
+    for lo in range(0, len(label), _CHUNK):
+        part = label[lo : lo + _CHUNK]
+        chunks.append(lo + np.flatnonzero(part == np.arange(lo, lo + len(part), dtype=np.int32)))
+    return np.concatenate(chunks)
+
+
+def _orbit_depths(field: FieldSpec) -> np.ndarray:
     """BFS depth from 0 of every scaling-orbit normal form; -1 if unreached.
 
     Index s1 << 2m | a << m | b holds the state (s1, a, b) for s1 in {0, 1}:
@@ -165,49 +173,66 @@ def _orbit_depths(field: FieldSpec, group_order: int) -> np.ndarray:
     generator of x lands on t = (s1 ^ x, a ^ x^3, b ^ x^5), which is
     rescaled by 1/(s1 ^ x) unless s1 ^ x = 0.
 
-    The search expands one label per orbit (_orbit_labels) and replaces
-    each state a step hits by its label, so a whole orbit gets its depth
-    at once.  It stops once the layers hold group_order syndromes, or when
-    a step finds nothing new; the caller tells the two apart.
+    Only orbit labels (_orbit_labels) get depths; any other state has the
+    depth of its label.  A step from depth d goes top-down while the
+    frontier's edges are fewer than the open labels: it expands the
+    frontier and gives depth d + 1 to the open labels of the states it
+    hits.  Otherwise it goes bottom-up: every open label tries the
+    generators a block at a time and takes depth d + 1 at its first
+    neighbour whose label has depth d.  The search stops when no label is
+    open, or when a step finds nothing; the caller tells the two apart by
+    the group order.
     """
     m, q, n = field.m, field.q, field.q - 1
     scaled, scaled_hi, log_of = _scaling(field)
     xs = np.arange(1, q, dtype=np.int64)
     cube, fifth = power_table(field, 3)[1:], power_table(field, 5)[1:]
-    # per slice s1: the s1 bit of s1 ^ x and the logs of its inverse cubed
-    # and to the fifth, the rescaling; s1 ^ x = 0 keeps scale 1 (log 0)
+    # per slice s1, per generator x: the s1 bit of s1 ^ x, x^3, x^5, and the
+    # logs of the inverse of s1 ^ x cubed and to the fifth, the rescaling;
+    # s1 ^ x = 0 keeps scale 1 (log 0)
     steps = [
-        ((t != 0).astype(np.int64) << 2 * m, -3 * log_of[t] % n, -5 * log_of[t] % n)
+        ((t != 0).astype(np.int64) << 2 * m, cube, fifth, -3 * log_of[t] % n, -5 * log_of[t] % n)
         for t in (xs, 1 ^ xs)
     ]
-    rows = max(1, _CHUNK // n)
+
+    def step(state, s1, gens=slice(None)):
+        """Neighbours of a column of slice-s1 states by the generators gens, as normal forms."""
+        top, x3, x5, inv3, inv5 = (v[gens] for v in steps[s1])
+        a = scaled_hi[log_of[state >> m & n ^ x3] + inv3]
+        return top | a | scaled[log_of[state & n ^ x5] + inv5]
+
+    def by_slice(states):
+        split = np.searchsorted(states, q * q)
+        return enumerate((states[:split], states[split:]))
+
     label = _orbit_labels(field)
     depth = np.full(2 * q * q, -1, dtype=np.int8)
-    depth[0] = 0
-    hit = np.zeros(depth.shape, dtype=bool)
+    depth[0] = d = 0
+    pending = _listed_labels(label)[1:]
     frontier = np.zeros(1, dtype=np.int64)
-    reached, d = 1, 0
-    while reached < group_order:
-        hit[:] = False
-        split = np.searchsorted(frontier, q * q)
-        for (top, inv3, inv5), part in zip(steps, (frontier[:split], frontier[split:])):
-            for lo in range(0, len(part), rows):
-                state = part[lo : lo + rows, None]
-                a = scaled_hi[log_of[state >> m & n ^ cube] + inv3]
-                b = scaled[log_of[state & n ^ fifth] + inv5]
-                hit[top | a | b] = True
-        # replace each state hit by its label, a slice of the table at a
-        # time; a label is never above its state, so it lands in a slice
-        # that is already done
-        for lo in range(0, len(hit), _CHUNK):
-            state = lo + np.flatnonzero(hit[lo : lo + _CHUNK])
-            hit[state] = False
-            hit[label[state]] = True
-        frontier = np.flatnonzero(hit & (depth < 0))
-        if not len(frontier):
-            break  # stalled short of group_order
-        depth[frontier] = d = d + 1
-        reached = sum(_layers(depth[label], q))
+    rows = max(1, _CHUNK // n)
+    while len(pending):
+        if len(frontier) * n < len(pending):  # top-down
+            for s1, part in by_slice(frontier):
+                for lo in range(0, len(part), rows):
+                    hit = label[step(part[lo : lo + rows, None], s1)]
+                    depth[hit[depth[hit] < 0]] = d + 1
+        else:  # bottom-up, in blocks of generators that widen as labels are found
+            for s1, part in by_slice(pending):
+                lo = 0
+                while len(part) and lo < n:
+                    width = max(1, _CHUNK // len(part))
+                    block = _CHUNK // width
+                    for r in range(0, len(part), block):
+                        state = part[r : r + block]
+                        near = depth[label[step(state[:, None], s1, slice(lo, lo + width))]] == d
+                        depth[state[near.any(axis=1)]] = d + 1
+                    part = part[depth[part] < 0]
+                    lo += width
+        found = depth[pending] > d
+        if not found.any():
+            break  # stalled: the open labels are out of reach
+        frontier, pending, d = pending[found], pending[~found], d + 1
     return depth[label]
 
 
@@ -231,14 +256,14 @@ def covering_radius(m: int) -> CoveringRadiusReport:
     docs/covering_radius_bfs.md).  The syndrome group is the F_2-span of
     the generators: all of F_q^3 for odd m, but a proper subgroup when
     fifth powers collapse into a subfield (m = 4).  Its order is computed
-    once; the search stops when its layers reach it, and the layers
-    recomputed from the depth table must sum to it.
+    once from the columns, and the layers of the finished depth table
+    must sum to it.
     """
     if not 4 <= m <= BFS_MAX_M:
         raise ValueError(f"the covering-radius search covers 4 <= m <= {BFS_MAX_M}, got m={m}")
     field = make_field(m)
     group_order = _group_order(field)
-    reached = tuple(_layers(_orbit_depths(field, group_order), field.q))
+    reached = tuple(_layers(_orbit_depths(field), field.q))
     if sum(reached) != group_order:
         raise AssertionError(
             f"BFS layers hold {sum(reached)} syndromes, the syndrome group {group_order}"

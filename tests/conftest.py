@@ -4,9 +4,10 @@ The reference helpers here recompute traces and fibre counts straight
 from the definitions (Frobenius-power sums, per-x field evaluation), so
 the fast mask kernels are always checked against an independent path;
 mul_array (shift-and-reduce products over whole arrays) stands behind
-the constant multiplier of the field tables, and full_group_bfs_layers
-and weight4_histogram_by_triples do the same for the orbit BFS and the
-translation-orbit histogram of the oracle.
+the constant multiplier of the field tables, and f2_rank_by_loop,
+full_group_bfs_layers and weight4_histogram_by_triples do the same for
+the group order, the orbit BFS and the translation-orbit histogram of
+the oracle.
 """
 
 from __future__ import annotations
@@ -112,6 +113,19 @@ def read_profile_fixture(path) -> list[dict]:
                 row[key] = int(value, 16) if value.startswith("0x") else int(value)
             rows.append(row)
     return rows
+
+
+def f2_rank_by_loop(vectors) -> int:
+    """Rank of a set of bit vectors over F_2, reduced one vector at a time
+    against a growing basis of Python ints."""
+    basis: list[int] = []
+    for v in vectors:
+        v = int(v)
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 @lru_cache(maxsize=None)

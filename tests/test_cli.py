@@ -283,12 +283,12 @@ class TestFormatsAndErrors:
         assert "Traceback" not in captured.err
 
     def test_covering_radius_beyond_range_exit_one(self, capsys):
-        assert cli.main(["covering-radius", "--m", "12"]) == 1
+        assert cli.main(["covering-radius", "--m", str(cli.oracle.BFS_MAX_M + 1)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "4 <= m <= 11" in lines[0]
+        assert f"4 <= m <= {cli.oracle.BFS_MAX_M}" in lines[0]
         assert "Traceback" not in captured.err
 
     def test_failed_internal_check_exit_one(self, capsys, monkeypatch):

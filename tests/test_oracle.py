@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from bch3 import coset, oracle
 from bch3.gf2m import log_tables, make_field, power_table
 from bch3.oracle import brute_N, covering_radius
-from conftest import full_group_bfs_layers, mul_array, weight4_histogram_by_triples
+from conftest import f2_rank_by_loop, full_group_bfs_layers, mul_array, weight4_histogram_by_triples
 
 
 cached_report = lru_cache(maxsize=None)(covering_radius)
 
 LAYERS_M10 = (1, 1023, 522753, 177910271, 893909676, 1398100)
-# m = 11 takes about 15 s, too long for the suite; the run is recorded in the doc
 LAYERS_M11 = (1, 2047, 2094081, 1427465215, 7154780844, 5592404)
+# m = 12 and 13 take about 3 and 13 s, too long for the suite; the runs are recorded in the doc
+LAYERS_M12 = (1, 4095, 8382465, 11436476415, 57252244140, 22369620)
+LAYERS_M13 = (1, 8191, 33542145, 91558875135, 458073909932, 89478484)
+RECORDED = {12: LAYERS_M12, 13: LAYERS_M13}
 BFS_DOC = Path(__file__).parents[1] / "docs" / "covering_radius_bfs.md"
 
 
@@ -134,6 +137,26 @@ class TestBruteN:
         assert brute_N(field, a, b) == brute_N(field, ta, tb)
 
 
+class TestGroupOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 62), st.lists(st.integers(0, (1 << 62) - 1), max_size=80))
+    def test_rank_matches_scalar_reduction(self, bits, vectors):
+        # narrow vectors force dependent sets; wide ones mostly independent
+        vectors = [v >> 62 - bits for v in vectors]
+        assert oracle._f2_rank(vectors) == f2_rank_by_loop(vectors)
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 11])
+    def test_rank_of_the_columns(self, m):
+        field = make_field(m)
+        xs = np.arange(1, field.q, dtype=np.int64)
+        gens = xs | power_table(field, 3)[1:] << m | power_table(field, 5)[1:] << 2 * m
+        rank = oracle._f2_rank(gens)
+        assert rank == f2_rank_by_loop(gens)
+        # all of F_q^3 except at m = 4, where fifth powers lie in F_4
+        assert rank == (10 if m == 4 else 3 * m)
+        assert oracle._group_order(field) == 1 << rank
+
+
 class TestOrbitLabels:
     """The labels the covering-radius BFS runs on, checked without an oracle."""
 
@@ -182,8 +205,8 @@ class TestCoveringRadius:
             covering_radius(3)
 
     def test_large_m_rejected(self):
-        with pytest.raises(ValueError, match="4 <= m <= 11"):
-            covering_radius(12)
+        with pytest.raises(ValueError, match=f"4 <= m <= {oracle.BFS_MAX_M}"):
+            covering_radius(oracle.BFS_MAX_M + 1)
 
     def test_odd_m_covers_whole_space(self):
         report = covering_radius(5)
@@ -218,42 +241,57 @@ class TestCoveringRadius:
         assert report.rho == 5
         assert report.reached_at_weight == LAYERS_M10
 
+    def test_m11_layers_pinned(self):
+        report = cached_report(11)
+        assert report.rho == 5
+        assert report.reached_at_weight == LAYERS_M11
+
     def test_m10_m11_layers_recorded_in_doc(self):
         text = BFS_DOC.read_text()
         assert f"m = 10: {LAYERS_M10}, sum 2^30." in text
         assert f"m = 11: {LAYERS_M11}, sum 2^33." in text
         assert sum(LAYERS_M11) == 1 << 33
 
-    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 11])
+    def test_m12_m13_layers_recorded_in_doc(self):
+        text = BFS_DOC.read_text()
+        for m, layers in RECORDED.items():
+            assert f"m = {m}: {layers}, sum 2^{3 * m}." in text
+            assert sum(layers) == 1 << 3 * m
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 11, 12, 13])
     def test_layer5_pattern(self, m):
         # an observed pattern, not a theorem: the last layer holds
         # 4(q^2 - 1)/3 syndromes from m = 8 on, and not below
-        layers = {10: LAYERS_M10, 11: LAYERS_M11}.get(m) or cached_report(m).reached_at_weight
+        layers = RECORDED.get(m) or cached_report(m).reached_at_weight
         q = 1 << m
         assert len(layers) == 6
         assert (layers[5] == 4 * (q * q - 1) // 3) == (m >= 8)
 
-    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 11, 12, 13])
     def test_low_layers_are_binomial(self, m):
         # d = 7: every set of at most 3 columns has its own syndrome, so
         # layer k holds C(q - 1, k) syndromes for k <= 3; needs no oracle
-        layers = cached_report(m).reached_at_weight
+        layers = RECORDED.get(m) or cached_report(m).reached_at_weight
         assert layers[:4] == tuple(comb((1 << m) - 1, k) for k in range(4))
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_search_stalls_short_of_a_larger_target(self, m, monkeypatch):
-        # the search stops at the group order; asked for one syndrome more
-        # it runs until no new state turns up, and the group-size check on
-        # the recomputed layers fails instead of passing unchecked
+        # the search has no target: it ends when no orbit label is open or
+        # when a step finds nothing.  At m = 4 the columns span a proper
+        # subgroup, so the labels outside it stay open and an empty step
+        # ends the search.  Asked for one syndrome more than the group
+        # holds, covering_radius fails its group-size check on the layers
+        # instead of passing unchecked
         field = make_field(m)
         order = oracle._group_order(field)
-        stalled = oracle._orbit_depths(field, order + 1)
-        assert np.array_equal(stalled, oracle._orbit_depths(field, order))
+        depth = oracle._orbit_depths(field)
+        assert sum(oracle._layers(depth, field.q)) == order
+        assert (depth < 0).any() == (m == 4)
         monkeypatch.setattr(oracle, "_group_order", lambda field: order + 1)
         with pytest.raises(AssertionError, match="BFS layers hold"):
             covering_radius(m)
 
-    @pytest.mark.parametrize("m", [5, 7, 9])
+    @pytest.mark.parametrize("m", [5, 7, 9, 11])
     def test_depth_plane_matches_closed_form(self, m):
         # the s1 = 1 slice is the (1, A, B) parameter plane: a weight-4
         # word with syndrome (1, A, B) exists iff that coset has weight <= 4.
@@ -261,7 +299,7 @@ class TestCoveringRadius:
         # B + A^2 + A = lam + 1; lam = 0 (that index 1) is left out.
         field = make_field(m)
         q = field.q
-        plane = oracle._orbit_depths(field, oracle._group_order(field))[q * q :].reshape(q, q)
+        plane = oracle._orbit_depths(field)[q * q :].reshape(q, q)
         a, b = np.arange(q)[:, None], np.arange(q)
         shifted = b ^ power_table(field, 2)[a] ^ a
         trace = np.array([field.trace(v) for v in range(q)])
