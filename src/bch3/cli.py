@@ -61,8 +61,6 @@ def _cmd_field(args) -> dict:
 
 def _cmd_nab(args) -> dict:
     field = _table_field(args)
-    if (args.a is None) == (args.tr_a is None):
-        raise UsageError("give exactly one of --tr-a or --a")
     if args.a is not None:
         value = coset.N_of_general(field, args.a, args.b)
         return {"a": _hex(args.a), "b": _hex(args.b), "N": value}
@@ -152,10 +150,6 @@ def _cmd_covering_radius(args) -> dict:
     return oracle.covering_radius(args.m).to_json_dict()
 
 
-class UsageError(Exception):
-    pass
-
-
 class DomainFailure(Exception):
     """A check ran to completion and failed; carries the payload."""
 
@@ -223,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("nab", help="the weight-4 invariant for one parameter pair")
     p.add_argument("--modulus", type=_parse_element, default=None)
-    p.add_argument("--tr-a", type=int, choices=(0, 1), default=None)
-    p.add_argument("--a", type=_parse_element, default=None)
+    parameterization = p.add_mutually_exclusive_group(required=True)
+    parameterization.add_argument("--tr-a", type=int, choices=(0, 1), default=None)
+    parameterization.add_argument("--a", type=_parse_element, default=None)
     p.add_argument("--b", type=_parse_element, required=True)
 
     p = add("table", help="full value distribution for one field size")
@@ -258,15 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     start = time.perf_counter()
     try:
         payload = handler(args)
         failed = False
-    except UsageError as exc:
-        parser.error(str(exc))  # exits 2
     except DomainFailure as exc:
         payload = exc.payload
         failed = True
@@ -278,9 +270,11 @@ def main(argv=None) -> int:
     modulus = payload.get("modulus")
     if modulus is None:
         try:
+            # past the table limit the modulus search alone can take minutes
+            check_table_degree(args.m)
             modulus = _hex(make_field(args.m, getattr(args, "modulus", None)).modulus)
         except ValueError:
-            pass  # no field of this degree: the envelope says null
+            pass  # no field of this degree, or none built: the envelope says null
     report = {
         "command": args.command,
         "m": args.m,

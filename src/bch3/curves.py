@@ -7,11 +7,12 @@ y^2 + y = f(x) of the x-line, where f runs over seven combinations of
 
 their pairwise sums and the triple sum, plus g = lam*x^3 + 1/x.  Every
 count comes from one cached, read-only table per field (_count_table):
-row i-1 holds n_i(lam) for all lam at once and row 7 the count for g,
-each from one Walsh-Hadamard transform of a mask histogram.  Constant
-offsets with trace 1 only flip which x count toward a fibre total, so
-they are read as q - 1 - n; splitting counts are inclusion-exclusion over
-the same rows, because phi4..phi7 are the sums of phi1..phi3.
+row i-1 holds n_i(lam) for all lam at once and row 7 the count for g;
+five rows are Walsh-Hadamard transforms of mask histograms, the other
+three are substitutions of them.  Constant offsets with trace 1 only
+flip which x count toward a fibre total, so they are read as q - 1 - n;
+splitting counts are inclusion-exclusion over the same rows, because
+phi4..phi7 are the sums of phi1..phi3.
 
 The per-parameter invariants are table lookups as well: lambda_of reads
 a^2 from the square table, and curve_params reads j = lam^-4 as
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, inverse_table, log_tables, parity, power_table, trace_mul_table
+from .gf2m import FieldSpec, inverse_table, log_tables, power_table, trace_mul_table
 
 SUBSETS = {"f1f2": (1, 2), "f3": (3,), "f1f2f3": (1, 2, 3)}
 
@@ -117,23 +118,25 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
 
 def _mask_histograms(field: FieldSpec) -> np.ndarray:
-    """int32 array of shape (8, q) whose row transforms are the character
-    sums behind _count_table; the q-sized masks die with this frame."""
+    """int32 array of shape (5, q) whose row transforms are the character
+    sums of phi1, phi3, phi4, phi5 and phi7.  trace_mul_table is linear,
+    so a sum's mask is the xor of its terms' masks, each built in place
+    just before its bincount; the q-sized masks die with this frame."""
     q = field.q
     T = trace_mul_table(field)
     inv = inverse_table(field)
     xs = np.arange(q, dtype=np.int64)
     cube = power_table(field, 3)
-    # trace_mul_table is linear, so the masks of phi4..phi7 are sums of these.
     m1, m2, m3 = (T[psi[1:]] for psi in (cube ^ xs, cube[inv] ^ inv, xs ^ inv))
-    sums = np.empty((8, q), dtype=np.int32)
-    for row, masks in enumerate((m1, m2, m3, m1 ^ m2, m1 ^ m3, m2 ^ m3, m1 ^ m2 ^ m3)):
-        sums[row] = np.bincount(masks, minlength=q)
-    # trace(lam*x^3 + 1/x) = parity(lam & T[x^3]) xor trace(1/x): sign each
-    # x by its constant term.
-    masks = T[cube[1:]]
-    flip = parity(inv[1:] & field.trace_mask).astype(bool)
-    sums[7] = np.bincount(masks[~flip], minlength=q) - np.bincount(masks[flip], minlength=q)
+    sums = np.empty((5, q), dtype=np.int32)
+    sums[0] = np.bincount(m1, minlength=q)
+    sums[1] = np.bincount(m3, minlength=q)
+    m2 ^= m1  # phi4 = phi1 + phi2
+    sums[2] = np.bincount(m2, minlength=q)
+    m1 ^= m3  # phi5 = phi1 + phi3
+    sums[3] = np.bincount(m1, minlength=q)
+    m2 ^= m3  # phi7 = phi1 + phi2 + phi3
+    sums[4] = np.bincount(m2, minlength=q)
     return sums
 
 
@@ -147,15 +150,21 @@ def _count_table(field: FieldSpec) -> np.ndarray:
     Walsh-Hadamard transform of the mask histogram evaluates
     sum_x (-1)^trace(lam*psi(x)) for every lam at once.  Every value of
     the transform lies within +-(q - 1), so int32 is exact up to m = 30.
-    The histograms and the transform's scratch buffer are freed before
-    the table is finished in place, which keeps the build's peak memory
-    at the mask stage.
+    Only n1, n3, n4, n5 and n7 are transformed (n7 = n3 holds only at
+    odd m); the others are substitutions x -> 1/x and x -> lam*x:
+
+        n2 = n1:        phi2(x) = lam*(1/x^3 + 1/x) = phi1(1/x),
+        n6 = n5:        phi6(x) = lam*(x + 1/x^3) = phi5(1/x),
+        g(lam^4) = n5:  phi5(lam*x) = lam^4*x^3 + 1/x.
     """
-    table = _fwht(_mask_histograms(field))
-    table += field.q - 1
-    if (table & 1).any():
+    sums = _fwht(_mask_histograms(field))
+    sums += field.q - 1
+    if (sums & 1).any():
         raise AssertionError("character sums must match the count parity")
-    table >>= 1
+    sums >>= 1
+    table = np.empty((8, field.q), dtype=np.int32)
+    np.take(sums, (0, 0, 1, 2, 3, 3, 4), axis=0, out=table[:7])  # n1..n7
+    table[7, power_table(field, 4)] = table[4]
     table.flags.writeable = False
     return table
 

@@ -292,8 +292,3 @@ def trace_mul_table(field: FieldSpec) -> np.ndarray:
     trs = [field.trace(p) for p in powers]
     table = _span_table([sum(trs[j + k] << j for j in range(m)) for k in range(m)])
     return _readonly(table)
-
-
-def parity(values: np.ndarray) -> np.ndarray:
-    """Elementwise popcount parity of a nonnegative integer array."""
-    return np.bitwise_count(values).astype(np.int64) & 1

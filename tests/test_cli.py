@@ -216,6 +216,18 @@ class TestFormatsAndErrors:
         assert "too large for the per-field tables" in lines[0]
         assert "Traceback" not in captured.err
 
+    def test_bounds_past_table_limit_has_null_modulus(self, capsys, monkeypatch):
+        # bounds needs no field, and the envelope does not run the modulus
+        # search past the table limit either
+        def search(m):
+            pytest.fail(f"modulus search reached for m={m}")
+
+        monkeypatch.setattr(gf2m, "find_default_modulus", search)
+        code, report = run_json(capsys, "bounds", "--m", "41")
+        assert code == 0
+        assert report["modulus"] is None
+        assert report["payload"]["q"] == 1 << 41
+
     def test_out_of_range_b_is_named(self, capsys):
         # b is checked itself, not through lam = b + a^2 + a + 1 = 0x46
         assert cli.main(["nab", "--m", "5", "--a", "0x3", "--b", "0x40"]) == 1

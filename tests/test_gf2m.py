@@ -13,7 +13,6 @@ from bch3.gf2m import (
     log_tables,
     mul_const,
     make_field,
-    parity,
     power_table,
     trace_mul_table,
 )
@@ -123,7 +122,7 @@ class TestTrace:
     def test_kernel_has_index_two(self, m):
         field = make_field(m)
         xs = np.arange(field.q, dtype=np.int64)
-        zeros = int(np.count_nonzero(parity(xs & field.trace_mask) == 0))
+        zeros = int(np.count_nonzero((np.bitwise_count(xs & field.trace_mask) & 1) == 0))
         assert zeros == field.q // 2
 
     @pytest.mark.parametrize("m", [5, 7, 9])
@@ -138,9 +137,9 @@ class TestTrace:
     def test_linear_over_all_pairs(self, m):
         field = make_field(m)
         xs = np.arange(field.q, dtype=np.int64)
-        bits = parity(xs & field.trace_mask)
+        bits = np.bitwise_count(xs & field.trace_mask) & 1
         table = bits[:, None] ^ bits[None, :]
-        sums = parity((xs[:, None] ^ xs[None, :]) & field.trace_mask)
+        sums = np.bitwise_count((xs[:, None] ^ xs[None, :]) & field.trace_mask) & 1
         assert np.array_equal(table, sums)
 
 
