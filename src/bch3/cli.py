@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,16 +174,13 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(report) + "\n")
         return
-    lines = []
-    for key in ("command", "m", "modulus", "elapsed_s"):
-        lines.append(f"{key}\t{report[key]}")
+    lines = [f"{key}\t{report[key]}" for key in ("command", "m", "modulus", "elapsed_s")]
     if tsv_block is not None:
         sys.stdout.write("\n".join(lines) + "\n" + tsv_block)
         return
     rows: list[tuple[str, str]] = []
     _flatten("", report["payload"], rows)
-    for key, value in rows:
-        lines.append(f"{key}\t{value}")
+    lines += [f"{key}\t{value}" for key, value in rows]
     sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -199,6 +197,7 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)  # one parser per process: building it costs more than a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bch3",

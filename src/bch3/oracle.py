@@ -22,7 +22,7 @@ from .gf2m import FieldSpec, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 13
-_CHUNK = 1 << 14  # BFS neighbours or table entries per numpy pass; small passes stay in cache
+_CHUNK = 1 << 14  # BFS neighbours, orbit members or table entries per numpy pass, cache-sized
 _SETS_CHUNK = 1 << 17  # (x, y) pairs enumerated per pass of the weight-4 oracle
 
 
@@ -128,30 +128,31 @@ def _scaling(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _orbit_labels(field: FieldSpec) -> np.ndarray:
     """label[t] = the least state in the orbit of state t, an int32 table
-    over the 2q^2 states of _orbit_depths (see docs/covering_radius_bfs.md):
-    first the least member of each scaling orbit (0, c^3 a, c^5 b) of the
-    s1 = 0 slice, then, in place on both slices, the least label among the
-    m Frobenius conjugates (s1, a, b), (s1, a^2, b^2), (s1, a^4, b^4), ...
-    """
+    over the 2q^2 states of _orbit_depths, in one pass: each unlabelled
+    state's orbit is listed whole, one part per Frobenius conjugate, and its
+    least member is written to every member (see docs/covering_radius_bfs.md)."""
     m, q, n = field.m, field.q, field.q - 1
     scaled, scaled_hi, log_of = _scaling(field)
     k3, k5 = (e * np.arange(n) % n for e in (3, 5))
-    rows = max(1, _CHUNK // n)
-    label = np.arange(2 * q * q, dtype=np.int32)
-    label[: q * q] = -1  # unlabelled
-    for lo in range(0, q * q, _CHUNK):
-        block = lo + np.flatnonzero(label[lo : lo + _CHUNK] < 0)
+    conjugates = np.arange(q)[:, None].repeat(m, axis=1)  # column i: x^(2^i)
+    for i in range(1, m):
+        conjugates[:, i] = power_table(field, 2)[conjugates[:, i - 1]]
+    label = np.full(2 * q * q, -1, dtype=np.int32)  # -1: unlabelled
+    span = min(_CHUNK, q * q)  # no block straddles the two slices
+    for lo in range(0, 2 * q * q, span):
+        plain = lo < q * q
+        rows = max(1, _CHUNK // (m * n if plain else m))
+        block = lo + np.flatnonzero(label[lo : lo + span] < 0)
         while len(block := block[label[block] < 0]):
-            state = block[:rows, None]
-            orbit = scaled_hi[log_of[state >> m] + k3] | scaled[log_of[state & n] + k5]
-            label[orbit] = orbit.min(axis=1, keepdims=True)
-    square = power_table(field, 2).astype(np.int32)
-    frobenius = (square[:, None] << m | square).ravel()  # (a, b) -> (a^2, b^2) within a slice
-    for plane in (label[: q * q], label[q * q :]):
-        for _ in range(m - 1):
-            for lo in range(0, q * q, _CHUNK):
-                part = plane[lo : lo + _CHUNK]
-                np.minimum(part, plane[frobenius[lo : lo + _CHUNK]], out=part)
+            a, b = conjugates[block[:rows] >> m & n], conjugates[block[:rows] & n]  # (rows, m)
+            if plain:  # per conjugate (a', b'), its scaling orbit (0, c^3 a', c^5 b')
+                a, b = log_of[a.T, None], log_of[b.T, None]
+                parts = [scaled_hi[x + k3] | scaled[y + k5] for x, y in zip(a, b)]
+            else:  # the conjugates (1, a', b') alone
+                parts = [q * q | a << m | b]
+            least = np.min([part.min(axis=1) for part in parts], axis=0)[:, None]
+            for part in parts:
+                label[part] = least
     return label
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -257,6 +258,19 @@ class TestFormatsAndErrors:
         first.pop("elapsed_s")
         second.pop("elapsed_s")
         assert first == second
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert run(capsys, "field", "--m", "5")[0] == 0
+        assert run(capsys, "covering-radius", "--m", "4")[0] == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
     @pytest.mark.parametrize("flag", ["--samples", "--seed"])
     def test_verify_sampling_flags_are_gone(self, capsys, flag):

@@ -160,7 +160,7 @@ class TestGroupOrder:
 class TestOrbitLabels:
     """The labels the covering-radius BFS runs on, checked without an oracle."""
 
-    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10])
     def test_label_is_least_member_of_its_orbit(self, m):
         field = make_field(m)
         q, n = field.q, field.q - 1
