@@ -23,9 +23,7 @@ import numpy as np
 
 from . import curves
 from .curves import DegenerateLambdaError
-from .gf2m import FieldSpec, make_field
-
-SUPPORTED_M = (5, 7, 9, 11, 13)
+from .gf2m import FieldSpec, check_table_degree, make_field
 
 
 def _require_odd(m: int) -> None:
@@ -108,17 +106,18 @@ class DistributionTable:
 
 
 def distribution(m: int, modulus: int | None = None) -> DistributionTable:
-    """Exact value histogram for one supported field size.
+    """Exact value histogram for one odd m from 5 to gf2m.TABLE_MAX_M.
 
     Values for both trace classes come out of a single batched pass over
     the fibre-count tables; B is the element lam + 1 as lam runs over
     F_q^*, so exactly q - 1 parameters land in each class.  Checked
     before it is returned: the class totals, the first moment
-    sum N = (q - 2)(q - 4)/12 and the refined interval.
+    sum N = (q - 2)(q - 4)/12, the refined interval and the second moment.
     """
     _require_odd(m)
-    if not SUPPORTED_M[0] <= m <= SUPPORTED_M[-1]:
-        raise ValueError(f"supported extension degrees are {SUPPORTED_M}, got {m}")
+    if m < 5:  # at m = 3, x^5 = (x^3)^4: the code corrects only two errors
+        raise ValueError(f"the tables need m >= 5, got m={m}")
+    check_table_degree(m)  # before the modulus search
     field = make_field(m, modulus)
     q = field.q
     per_class = []
@@ -138,7 +137,37 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     lo, hi = refined_even_interval(m)
     if min(merged) < lo or max(merged) > hi:
         raise AssertionError("a value escaped the proven interval")
+    pairs = sum(value * (value - 1) * count for value, count in merged.items())
+    if flat_pairs(m) + (q - 1) * (q // 2) * pairs != 70 * weight8_count(m):
+        raise AssertionError("second moment: P_0 + (q - 1)(q/2) sum N(N - 1) must be 70 A_8")
     return table
+
+
+def dual_weight_distribution(m: int) -> dict[int, int]:
+    """The dual code Tr(ax + bx^3 + cx^5) + e has weights 0, q, q/2, q/2 +- 2^((m-1)/2)
+    and q/2 +- 2^((m+1)/2) (Kasami 1969); the Pless moments give their frequencies."""
+    q = 1 << m
+    s2, s4 = q**4 - q**2, 3 * q**5 - 3 * q**4  # sum W^2, sum W^4 over (a, b, c) != 0
+    k2 = (s4 - 2 * q * s2) // (48 * q**2)  # Walsh value W = +-sqrt(8q)
+    k1 = (s2 - 8 * q * k2) // (2 * q)  # W = +-sqrt(2q)
+    h, w1, w2 = q // 2, 1 << (m - 1) // 2, 1 << (m + 1) // 2
+    return {0: 1, h - w2: k2, h - w1: k1, h: 2 * (q**3 - 1 - k1 - k2), h + w1: k1, h + w2: k2, q: 1}
+
+
+def weight8_count(m: int) -> int:
+    """A_8 of the extended code, by MacWilliams from its 2^(3m+1)-word dual."""
+    q = 1 << m
+    return sum(
+        count * sum((-1) ** s * math.comb(w, s) * math.comb(q - w, 8 - s) for s in range(9))
+        for w, count in dual_weight_distribution(m).items()
+    ) // (2 * q**3)
+
+
+def flat_pairs(m: int) -> int:
+    """P_0: ordered pairs of distinct 4-sets with sum 0 and one (s3, s5),
+    the cosets of one 2-dimensional subspace (docs/second_moment.md)."""
+    q = 1 << m
+    return (q - 1) * (q - 2) // 6 * (q // 4) * (q // 4 - 1)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# Largest degree whose per-field tables are built.  The cold count-table
-# build peaks at 0.31 GB RSS at m = 21 and 1.15 GB at m = 23 (which runs
-# under a 4 GB address-space cap); each odd step of m multiplies it by
-# about 3.7, so m = 25 (about 4 GB) would not fit well under 8 GB.
+# Largest degree whose per-field tables are built.  Cold through the CLI
+# on a 2-core Xeon, `table --m 21` takes 1.8 s at 279 MB peak RSS and
+# `table --m 23` 6.8 s at 1.0 GB; each odd step of m multiplies the peak
+# by about 3.6, so m = 25 (about 3.6 GB) would not fit well under 8 GB.
 TABLE_MAX_M = 23
 
 

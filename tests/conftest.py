@@ -7,7 +7,8 @@ mul_array (shift-and-reduce products over whole arrays) stands behind
 the constant multiplier of the field tables, and f2_rank_by_loop,
 full_group_bfs_layers and weight4_histogram_by_triples do the same for
 the group order, the orbit BFS and the translation-orbit histogram of
-the oracle.
+the oracle.  dual_weights_by_enumeration and weight4_histogram_by_triples
+at sum 0 stand behind the two closed forms of the second-moment gate.
 """
 
 from __future__ import annotations
@@ -152,10 +153,10 @@ def full_group_bfs_layers(m: int) -> tuple[int, ...]:
         layers.append(len(frontier))
 
 
-def weight4_histogram_by_triples(field: FieldSpec) -> np.ndarray:
-    """count[s3*q + s5] over every 4-subset of F_q with sum 1: ordered
-    triples x1 < x2 < x3, x4 completed from the linear equation and kept
-    when x4 > x3, so each 4-set is counted once.  No translation orbits."""
+def weight4_histogram_by_triples(field: FieldSpec, total: int = 1) -> np.ndarray:
+    """count[s3*q + s5] over every 4-subset of F_q with sum `total`:
+    ordered triples x1 < x2 < x3, x4 completed from the linear equation and
+    kept when x4 > x3, so each 4-set is counted once.  No translation orbits."""
     q = field.q
     cube, fifth = power_table(field, 3), power_table(field, 5)
     counts = np.zeros(q * q, dtype=np.int64)
@@ -164,10 +165,37 @@ def weight4_histogram_by_triples(field: FieldSpec) -> np.ndarray:
         i2, i3 = np.triu_indices(len(rest), k=1)
         x2 = rest[i2]
         x3 = rest[i3]
-        x4 = 1 ^ x1 ^ x2 ^ x3
+        x4 = total ^ x1 ^ x2 ^ x3
         keep = x4 > x3
         x2, x3, x4 = x2[keep], x3[keep], x4[keep]
         s3 = cube[x1] ^ cube[x2] ^ cube[x3] ^ cube[x4]
         s5 = fifth[x1] ^ fifth[x2] ^ fifth[x3] ^ fifth[x4]
         counts += np.bincount(s3 * q + s5, minlength=q * q)
     return counts
+
+
+def dual_weights_by_enumeration(field: FieldSpec) -> dict[int, int]:
+    """Weight histogram of every word Tr(ax + bx^3 + cx^5) + e, each word
+    written out as its q trace bits (products by mul_array, traces by
+    repeated squaring) and its weight counted bit by bit.  No Walsh values."""
+    q, m = field.q, field.m
+    x = np.arange(q, dtype=np.int64)
+
+    def trace_rows(points):
+        # rows[a, i] = Tr(a * points[i]), packed along i
+        acc = s = mul_array(field, x[:, None], points[None, :])
+        for _ in range(m - 1):
+            s = mul_array(field, s, s)
+            acc = acc ^ s
+        return np.packbits(acc.astype(np.uint8), axis=1)
+
+    square = mul_array(field, x, x)
+    cube = mul_array(field, square, x)
+    cubic = trace_rows(cube)[:, None, :]
+    quintic = trace_rows(mul_array(field, square, cube))[None, :, :]
+    counts = np.zeros(q + 1, dtype=np.int64)
+    for row in trace_rows(x):
+        weights = np.bitwise_count(row ^ cubic ^ quintic).sum(axis=2, dtype=np.int64)
+        counts += np.bincount(weights.ravel(), minlength=q + 1)
+    counts += counts[::-1]  # e = 1 complements every word
+    return {w: int(c) for w, c in enumerate(counts) if c}

@@ -205,6 +205,18 @@ def test_criterion_12_representation_independence():
         assert coset.distribution(7, 0x83).normalized == coset.distribution(7, 0x89).normalized
 
 
+def test_criterion_13_second_moment():
+    with criterion(13, "sum N(N - 1) = (70 A_8 - P_0) / ((q - 1) q/2) exactly at m=5..19"):
+        pairs = [70, 6342, 449990, 29565382, 1904685510, 122100871622,
+                 7817675698630, 500382779077062]
+        for m, expected in zip(range(5, 20, 2), pairs):
+            q = 1 << m
+            table = coset.distribution(m)
+            assert sum(v * (v - 1) * c for v, c in table.normalized.items()) == expected
+            a8 = coset.weight8_count(m)
+            assert coset.flat_pairs(m) + (q - 1) * (q // 2) * expected == 70 * a8
+
+
 def test_per_class_histograms_match_oracle():
     # beyond the merged tables: the class split itself agrees with brute force
     for m in (5, 7):

@@ -199,6 +199,7 @@ class TestFormatsAndErrors:
             ["traces", "--m", "31", "--b", "0x2"],
             ["split", "--m", "31", "--b", "0x2", "--subset", "f3"],
             ["verify", "--m", "31"],
+            ["table", "--m", "31"],
         ],
         ids=lambda argv: argv[0],
     )

@@ -2,6 +2,7 @@ import decimal
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,16 +15,27 @@ from bch3.coset import (
     bounds,
     calibrate_boundary,
     distribution,
+    dual_weight_distribution,
+    flat_pairs,
     gamma_report,
     heuristic_even_interval,
     load_gamma,
     refined_even_interval,
     weil_interval,
+    weight8_count,
 )
+from bch3.gf2m import make_field
+from conftest import dual_weights_by_enumeration, weight4_histogram_by_triples
 
 
 TABLE_M7 = {0: 2, 2: 28, 4: 98, 6: 84, 8: 35, 10: 7}
 TABLE_M9 = dict(zip(range(12, 33, 2), [18, 21, 117, 180, 148, 195, 199, 81, 36, 18, 9]))
+SECOND_MOMENT_DOC = Path(__file__).parents[1] / "docs" / "second_moment.md"
+# sum N(N - 1) over both classes and every lam != 0
+PAIRS = {5: 70, 7: 6342, 9: 449990, 11: 29565382, 13: 1904685510}
+# values outside heuristic_even_interval(m), of 2(q - 1); m = 21 and 23
+# from `bch3 table`, too large for the suite
+HEURISTIC_MISSES = {13: 78, 15: 394, 17: 1802, 19: 6974, 21: 29431, 23: 122889}
 
 
 class TestNOf:
@@ -101,10 +113,10 @@ class TestDistribution:
             distribution(6)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m >= 5"):
             distribution(3)
-        with pytest.raises(ValueError):
-            distribution(15)
+        with pytest.raises(ValueError, match="too large for the per-field tables"):
+            distribution(25)
 
     def test_published_m7(self):
         assert distribution(7).normalized == TABLE_M7
@@ -168,6 +180,63 @@ class TestDistribution:
         assert lines[0] == "N\tcount_class0\tcount_class1\tnormalized"
         assert lines[1] == "0\t11\t16\t27"
         assert lines[2] == "2\t20\t15\t35"
+
+
+class TestSecondMoment:
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_dual_distribution_by_enumeration(self, m):
+        assert dual_weight_distribution(m) == dual_weights_by_enumeration(make_field(m))
+
+    def test_weight8_count(self):
+        # at m = 5 the extended code is self-dual: A_8 = B_8
+        assert weight8_count(5) == dual_weight_distribution(5)[8] == 620
+        assert weight8_count(7) == 774192
+
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_flat_pairs_by_enumeration(self, m):
+        # ordered pairs of distinct 4-sets with sum 0 and one (s3, s5)
+        counts = weight4_histogram_by_triples(make_field(m), total=0)
+        assert flat_pairs(m) == int((counts * (counts - 1)).sum())
+
+    @pytest.mark.parametrize("m", sorted(PAIRS))
+    def test_pinned(self, m):
+        q = 1 << m
+        pairs = sum(v * (v - 1) * c for v, c in distribution(m).normalized.items())
+        assert pairs == PAIRS[m]
+        assert flat_pairs(m) + (q - 1) * (q // 2) * pairs == 70 * weight8_count(m)
+
+    def test_value_swap_trips_the_gate(self, monkeypatch):
+        # one N up by 2 and another down by 2 keeps the lattice, the class
+        # totals, the first moment and the interval [0, 14]; sum N(N - 1)
+        # moves by 4(N_i - N_j) + 8 = 4(4 - 8) + 8 = -8
+        invariants = coset.invariants
+
+        def swapped(field, cls):
+            values = invariants(field, cls).copy()
+            if cls == 0:
+                values[values.tolist().index(4)] += 2
+                values[values.tolist().index(8)] -= 2
+            return values
+
+        monkeypatch.setattr(coset, "invariants", swapped)
+        with pytest.raises(AssertionError, match="second moment"):  # the last gate
+            distribution(7)
+
+    @pytest.mark.parametrize("m", [15, 17, 19])
+    def test_beyond_the_paper(self, m):
+        # no oracle reaches these m: distribution returns only if the
+        # lattice, totals, both moments and the interval all pass
+        assert sum(distribution(m).normalized.values()) == 2 * ((1 << m) - 1)
+
+    def test_heuristic_misses_recorded_in_doc(self):
+        text = SECOND_MOMENT_DOC.read_text()
+        for m, outside in HEURISTIC_MISSES.items():
+            total = 2 * ((1 << m) - 1)
+            assert f"m = {m}: {outside} of {total} ({100 * outside / total:.2f}%)" in text
+        for m in (13, 15, 17, 19):
+            lo, hi = heuristic_even_interval(m)
+            values = distribution(m).normalized
+            assert sum(c for v, c in values.items() if not lo <= v <= hi) == HEURISTIC_MISSES[m]
 
 
 class TestBounds:
