@@ -228,7 +228,11 @@ def heuristic_even_interval(m: int) -> tuple[int, int]:
 
 
 def bounds(m: int) -> BoundReport:
-    """All three enclosures for 2^m."""
+    """All three enclosures for 2^m.  Past m = 1027 the Weil endpoints
+    overflow a double."""
+    _require_odd(m)
+    if not 3 <= m <= 1027:
+        raise ValueError(f"bounds need 3 <= m <= 1027, got m={m}")
     return BoundReport(
         q=1 << m,
         weil=weil_interval(m),

@@ -5,14 +5,13 @@ y^2 + y = f(x) of the x-line, where f runs over seven combinations of
 
     phi1 = lam*(x^3 + x),  phi2 = lam*(1/x^3 + 1/x),  phi3 = lam*(x + 1/x),
 
-their pairwise sums and the triple sum, plus g = lam*x^3 + 1/x.  Every
-count comes from one cached, read-only table per field (_count_table):
-row i-1 holds n_i(lam) for all lam at once and row 7 the count for g;
-five rows are Walsh-Hadamard transforms of mask histograms, the other
-three are substitutions of them.  Constant offsets with trace 1 only
-flip which x count toward a fibre total, so they are read as q - 1 - n;
-splitting counts are inclusion-exclusion over the same rows, because
-phi4..phi7 are the sums of phi1..phi3.
+their pairwise sums and the triple sum, plus g = lam*x^3 + 1/x.  At odd
+m these counts take three values, n1 = n2, n3 = n7, n4 = n5 = n6 = g
+(docs/count_table.md), so three Walsh-Hadamard transforms fill one
+cached, read-only table per field (_count_table) whose row i-1 is n_i(lam)
+for all lam.  Constant offsets with trace 1 only flip which x count
+toward a fibre total, so they are read as q - 1 - n; splitting counts are
+inclusion-exclusion over the same rows, as phi4..phi7 sum phi1..phi3.
 
 The per-parameter invariants are table lookups as well: lambda_of reads
 a^2 from the square table, and curve_params reads j = lam^-4 as
@@ -118,53 +117,47 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
 
 def _mask_histograms(field: FieldSpec) -> np.ndarray:
-    """int32 array of shape (5, q) whose row transforms are the character
-    sums of phi1, phi3, phi4, phi5 and phi7.  trace_mul_table is linear,
-    so a sum's mask is the xor of its terms' masks, each built in place
-    just before its bincount; the q-sized masks die with this frame."""
+    """int32 array of shape (3, q) whose row transforms are the character
+    sums of phi1, phi3 and phi5.  trace_mul_table is linear, so the mask
+    of phi5 = phi1 + phi3 is the xor of theirs, built in place after
+    their bincounts; the q-sized masks die with this frame."""
     q = field.q
     T = trace_mul_table(field)
-    inv = inverse_table(field)
     xs = np.arange(q, dtype=np.int64)
-    cube = power_table(field, 3)
-    m1, m2, m3 = (T[psi[1:]] for psi in (cube ^ xs, cube[inv] ^ inv, xs ^ inv))
-    sums = np.empty((5, q), dtype=np.int32)
+    m1, m3 = (T[psi[1:]] for psi in (power_table(field, 3) ^ xs, inverse_table(field) ^ xs))
+    sums = np.empty((3, q), dtype=np.int32)
     sums[0] = np.bincount(m1, minlength=q)
     sums[1] = np.bincount(m3, minlength=q)
-    m2 ^= m1  # phi4 = phi1 + phi2
-    sums[2] = np.bincount(m2, minlength=q)
     m1 ^= m3  # phi5 = phi1 + phi3
-    sums[3] = np.bincount(m1, minlength=q)
-    m2 ^= m3  # phi7 = phi1 + phi2 + phi3
-    sums[4] = np.bincount(m2, minlength=q)
+    sums[2] = np.bincount(m1, minlength=q)
     return sums
 
 
 @lru_cache(maxsize=None)
 def _count_table(field: FieldSpec) -> np.ndarray:
-    """Read-only int32 table of shape (8, q): row i-1 is n_i(lam) =
-    #{x in F_q^* : trace(phi_i(x)) = 0}, row 7 is the count for
-    g = lam*x^3 + 1/x.  Column lam = 0 is filler.
+    """Read-only int32 table of shape (7, q) for odd m: row i-1 is
+    n_i(lam) = #{x in F_q^* : trace(phi_i(x)) = 0}.  Column lam = 0 is
+    filler.
 
     With masks M such that trace(lam * psi(x)) = parity(lam & M[x]), the
     Walsh-Hadamard transform of the mask histogram evaluates
     sum_x (-1)^trace(lam*psi(x)) for every lam at once.  Every value of
     the transform lies within +-(q - 1), so int32 is exact up to m = 30.
-    Only n1, n3, n4, n5 and n7 are transformed (n7 = n3 holds only at
-    odd m); the others are substitutions x -> 1/x and x -> lam*x:
+    Only n1, n3 and n5 are transformed; docs/count_table.md derives the
+    other rows as copies of them, the last two at odd m only:
 
-        n2 = n1:        phi2(x) = lam*(1/x^3 + 1/x) = phi1(1/x),
-        n6 = n5:        phi6(x) = lam*(x + 1/x^3) = phi5(1/x),
-        g(lam^4) = n5:  phi5(lam*x) = lam^4*x^3 + 1/x.
+        n2 = n1, n6 = n5:  x -> 1/x,
+        n7 = n3:           x -> x^3, a bijection of F_q^* at odd m,
+        n4 = n5:           u = x + 1/x, then a character sum (odd m).
     """
+    if field.m % 2 == 0:
+        raise ValueError(f"the count table requires odd extension degree, got m={field.m}")
     sums = _fwht(_mask_histograms(field))
     sums += field.q - 1
     if (sums & 1).any():
         raise AssertionError("character sums must match the count parity")
     sums >>= 1
-    table = np.empty((8, field.q), dtype=np.int32)
-    np.take(sums, (0, 0, 1, 2, 3, 3, 4), axis=0, out=table[:7])  # n1..n7
-    table[7, power_table(field, 4)] = table[4]
+    table = np.take(sums, (0, 0, 1, 2, 2, 2, 1), axis=0)  # n1..n7
     table.flags.writeable = False
     return table
 
@@ -187,11 +180,11 @@ def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
 
 
 def g_count(field: FieldSpec, lam: int) -> int:
-    """#{x in F_q^* : trace(lam*x^3 + 1/x) = 0}."""
+    """#{x in F_q^* : trace(lam*x^3 + 1/x) = 0}, which is n5(lam)."""
     field._check(lam)
     if lam == 0:
         raise DegenerateLambdaError("lam=0 has no associated curves")
-    return int(_count_table(field)[7, lam])
+    return int(_count_table(field)[4, lam])
 
 
 def _offset(field: FieldSpec, trace_class_a: int) -> int:
@@ -213,7 +206,7 @@ def traces_at(field: FieldSpec, trace_class_a: int, lam):
     q = field.q
     off = _offset(field, trace_class_a)
     columns = _count_table(field)[:, lam]
-    *counts, g = columns if columns.ndim > 1 else columns.tolist()  # Python ints for one lam
+    counts = columns if columns.ndim > 1 else columns.tolist()  # Python ints for one lam
     offsets = (off, off, off, 0, 0, 0, off)
     n = [q - 1 - c if o else c for c, o in zip(counts, offsets)]
     # x = 0 lies on the polynomial cover; its fibre splits iff the constant
@@ -221,7 +214,7 @@ def traces_at(field: FieldSpec, trace_class_a: int, lam):
     t1 = q - 2 * (n[0] + (1 - off))
     t3 = q - 1 - 2 * n[2]
     t5 = q - 1 - 2 * n[4]
-    tg = q - 1 - 2 * g
+    tg = t5  # g_count = n5
     return n, t1, t3, t5, tg, 2 * t1 + 2 * t3 + 2 * t5 + tg
 
 
@@ -289,6 +282,6 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
 
 def n_counts_all(field: FieldSpec) -> np.ndarray:
     """All seven counts for every lam at once: result[i-1][lam] = n_i(lam),
-    a read-only view of the per-field table.  Column lam = 0 is filler.
+    the read-only per-field table.  Column lam = 0 is filler.
     """
-    return _count_table(field)[:7]
+    return _count_table(field)

@@ -35,9 +35,9 @@ from functools import lru_cache
 import numpy as np
 
 # Largest degree whose per-field tables are built.  Cold through the CLI
-# on a 2-core Xeon, `table --m 21` takes 1.8 s at 279 MB peak RSS and
-# `table --m 23` 6.8 s at 1.0 GB; each odd step of m multiplies the peak
-# by about 3.6, so m = 25 (about 3.6 GB) would not fit well under 8 GB.
+# on a 2-core Xeon, `table --m 21` takes 1.2 s at 247 MB peak RSS and
+# `table --m 23` 3.4-3.8 s at 905 MB; each odd step of m multiplies the
+# peak by about 3.7, so m = 25 (about 3.3 GB) would not fit well under 8 GB.
 TABLE_MAX_M = 23
 
 

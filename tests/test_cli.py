@@ -230,6 +230,18 @@ class TestFormatsAndErrors:
         assert report["modulus"] is None
         assert report["payload"]["q"] == 1 << 41
 
+    @pytest.mark.parametrize("m", ["-1", "1", "1029"])
+    def test_bounds_out_of_range_exit_one(self, capsys, m):
+        # below m = 3 there is no code to bound; from m = 1029 on the Weil
+        # endpoints overflow a double
+        assert cli.main(["bounds", "--m", m]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"m={m}" in lines[0]
+        assert "Traceback" not in captured.err
+
     def test_out_of_range_b_is_named(self, capsys):
         # b is checked itself, not through lam = b + a^2 + a + 1 = 0x46
         assert cli.main(["nab", "--m", "5", "--a", "0x3", "--b", "0x40"]) == 1

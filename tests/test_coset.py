@@ -261,6 +261,13 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds(6)
 
+    def test_largest_degree(self):
+        # the last odd m whose Weil endpoints fit a double; m = 1029 overflows
+        lo, hi = bounds(1027).weil
+        assert 0 < lo <= hi < math.inf  # equal as doubles this far out
+        with pytest.raises(ValueError, match="1027"):
+            bounds(1029)
+
     @staticmethod
     def heuristic_endpoints(m):
         """The heuristic enclosure (q -+ 4t -+ s + {4, 14} + 4*sqrt(2))/24,

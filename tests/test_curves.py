@@ -184,7 +184,7 @@ class TestWalshHadamard:
 
         def off_by_one(a):
             sums = transform(a)
-            sums[3, 7] += 1
+            sums[2, 7] += 1  # the phi5 row, which fills rows n4, n5 and n6
             return sums
 
         monkeypatch.setattr(curves, "_fwht", off_by_one)
@@ -214,7 +214,8 @@ class TestBeyondThePaper:
             t1, t2, t3 = (traces(lam, psi) for psi in (cube ^ xs, inv_cube ^ inv, xs ^ inv))
             tg = traces(lam, cube) ^ (np.bitwise_count(inv & field.trace_mask) & 1)
             rows = (t1, t2, t3, t1 ^ t2, t1 ^ t3, t2 ^ t3, t1 ^ t2 ^ t3, tg)
-            assert table[:, lam].tolist() == [int(np.count_nonzero(t == 0)) for t in rows]
+            got = table[:, lam].tolist() + [g_count(field, lam)]
+            assert got == [int(np.count_nonzero(t == 0)) for t in rows]
 
 
 class TestTraceProfiles:
@@ -316,17 +317,29 @@ class TestSplitCounts:
 
 
 class TestIsoCheck:
-    """The table's rows n2, n6 and g are n1 and n5 after a change of
-    variable, so they are checked against their own per-x definitions,
-    also at an even degree, where n4 and n6 differ."""
+    """The table's rows n2, n4, n6, n7 and g are copies of the transformed
+    rows n1, n3 and n5 (docs/count_table.md), so they are checked against
+    their own per-x definitions."""
 
-    @pytest.mark.parametrize("m", [5, 6, 7])
+    @pytest.mark.parametrize("m", [5, 7])
     def test_all_lambdas_pass(self, m):
         field = make_field(m)
         for lam in range(1, field.q):
-            assert n_count(field, 2, lam, 0) == n_count_slow(field, 2, lam, 0)
-            assert n_count(field, 6, lam, 0) == n_count_slow(field, 6, lam, 0)
+            for i in (2, 4, 6, 7):
+                assert n_count(field, i, lam, 0) == n_count_slow(field, i, lam, 0)
             assert g_count(field, lam) == g_count_slow(field, lam)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_even_degree_rejected(self, m):
+        # n7 = n3 and n4 = n5 need odd m, so no table is built at even m
+        field = make_field(m)
+        odd_degree = f"odd extension degree, got m={m}"
+        with pytest.raises(ValueError, match=odd_degree):
+            n_count(field, 1, 1, 0)
+        with pytest.raises(ValueError, match=odd_degree):
+            g_count(field, 1)
+        with pytest.raises(ValueError, match=odd_degree):
+            n_counts_all(field)
 
     def test_lambda_one_directly(self, f5):
         # x -> lam*x turns lam*(x^3 + 1/x) into lam^4*x^3 + 1/x, and 1^4 = 1
