@@ -1,10 +1,11 @@
 """The weight-4 coset invariant N, its distribution tables, and bounds.
 
 For odd m and a normalized representative A in {0, 1} the invariant is a
-linear combination of the seven fibre counts at lam = B + 1:
+linear combination of the seven fibre counts at lam = B + 1.  With
+n1 = n2, n3 = n7 and n4 = n5 = n6 (docs/count_table.md) it reads
 
-    trace class 0:  N = (2q - 2 - 2*(n1 + n2 + n3 - n4 - n5 - n6 + n7)) / 24
-    trace class 1:  N = (-6q - 2 + 2*(n1 + ... + n7)) / 24
+    trace class 0:  N = (2q - 2 - 2*(2*n1 + 2*n3 - 3*n5)) / 24
+    trace class 1:  N = (-6q - 2 + 2*(2*n1 + 2*n3 + 3*n5)) / 24
 
 with every count taken offset-free.  General (A, B) reduce to this shape
 along the translation x_i -> x_i + s, which fixes lam = B + A^2 + A + 1
@@ -44,11 +45,11 @@ def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
     if trace_class_a not in (0, 1):
         raise ValueError("trace_class_a must be 0 or 1")
     q = field.q
-    n = curves.n_counts_all(field)[:, 1:]
+    n1, n3, n5 = curves._count_table(field)[:, 1:]
     if trace_class_a == 0:
-        num = 2 * q - 2 - 2 * (n[0] + n[1] + n[2] - n[3] - n[4] - n[5] + n[6])
+        num = 2 * q - 2 - 2 * (2 * n1 + 2 * n3 - 3 * n5)
     else:
-        num = -6 * q - 2 + 2 * n.sum(axis=0)
+        num = -6 * q - 2 + 2 * (2 * n1 + 2 * n3 + 3 * n5)
     if (num % 24).any() or (num < 0).any() or (num // 24 % 2).any():
         raise AssertionError("invariant left its lattice")
     values = np.full(q, -1, dtype=np.int64)

@@ -7,11 +7,12 @@ y^2 + y = f(x) of the x-line, where f runs over seven combinations of
 
 their pairwise sums and the triple sum, plus g = lam*x^3 + 1/x.  At odd
 m these counts take three values, n1 = n2, n3 = n7, n4 = n5 = n6 = g
-(docs/count_table.md), so three Walsh-Hadamard transforms fill one
-cached, read-only table per field (_count_table) whose row i-1 is n_i(lam)
-for all lam.  Constant offsets with trace 1 only flip which x count
-toward a fibre total, so they are read as q - 1 - n; splitting counts are
-inclusion-exclusion over the same rows, as phi4..phi7 sum phi1..phi3.
+(docs/count_table.md), so the cached, read-only table per field
+(_count_table) holds just n1, n3 and n5 for all lam, one Walsh-Hadamard
+transform each, and _ROW names the row that holds each n_i.  Constant
+offsets with trace 1 only flip which x count toward a fibre total, so
+they are read as q - 1 - n; splitting counts are inclusion-exclusion over
+the same rows, as phi4..phi7 sum phi1..phi3.
 
 The per-parameter invariants are table lookups as well: lambda_of reads
 a^2 from the square table, and curve_params reads j = lam^-4 as
@@ -88,6 +89,10 @@ class TraceProfile:
 # Function index of the sum of phi1, phi2, phi3 selected by bits 0, 1, 2.
 _INDEX_OF_BITS = (0, 1, 2, 4, 3, 5, 6, 7)
 
+# The count table row that holds n_i, at index i - 1: n1 and n2 in row 0,
+# n3 and n7 in row 1, n4, n5 and n6 in row 2 (docs/count_table.md).
+_ROW = (0, 0, 1, 2, 2, 2, 1)
+
 
 def _fwht(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of each row of a, with the
@@ -135,16 +140,16 @@ def _mask_histograms(field: FieldSpec) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _count_table(field: FieldSpec) -> np.ndarray:
-    """Read-only int32 table of shape (7, q) for odd m: row i-1 is
-    n_i(lam) = #{x in F_q^* : trace(phi_i(x)) = 0}.  Column lam = 0 is
-    filler.
+    """Read-only int32 table of shape (3, q) for odd m: rows n1, n3 and
+    n5, where n_i(lam) = #{x in F_q^* : trace(phi_i(x)) = 0}, and row
+    _ROW[i - 1] holds n_i.  Column lam = 0 is filler.
 
     With masks M such that trace(lam * psi(x)) = parity(lam & M[x]), the
     Walsh-Hadamard transform of the mask histogram evaluates
     sum_x (-1)^trace(lam*psi(x)) for every lam at once.  Every value of
     the transform lies within +-(q - 1), so int32 is exact up to m = 30.
-    Only n1, n3 and n5 are transformed; docs/count_table.md derives the
-    other rows as copies of them, the last two at odd m only:
+    docs/count_table.md derives the other counts as equal to these rows,
+    the last two at odd m only:
 
         n2 = n1, n6 = n5:  x -> 1/x,
         n7 = n3:           x -> x^3, a bijection of F_q^* at odd m,
@@ -157,9 +162,8 @@ def _count_table(field: FieldSpec) -> np.ndarray:
     if (sums & 1).any():
         raise AssertionError("character sums must match the count parity")
     sums >>= 1
-    table = np.take(sums, (0, 0, 1, 2, 2, 2, 1), axis=0)  # n1..n7
-    table.flags.writeable = False
-    return table
+    sums.flags.writeable = False
+    return sums
 
 
 def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
@@ -175,7 +179,7 @@ def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
     field._check(lam)
     if lam == 0:
         raise DegenerateLambdaError("lam=0 has no associated curves")
-    n = int(_count_table(field)[i - 1, lam])
+    n = int(_count_table(field)[_ROW[i - 1], lam])
     return field.q - 1 - n if offset_bit else n
 
 
@@ -184,13 +188,15 @@ def g_count(field: FieldSpec, lam: int) -> int:
     field._check(lam)
     if lam == 0:
         raise DegenerateLambdaError("lam=0 has no associated curves")
-    return int(_count_table(field)[4, lam])
+    return int(_count_table(field)[_ROW[4], lam])
 
 
 def _offset(field: FieldSpec, trace_class_a: int) -> int:
     """Tr(A + 1) for normalized A: Tr(1) = 1 holds for odd m only."""
     if field.m % 2 == 0:
         raise ValueError("trace derivation requires odd extension degree")
+    if trace_class_a not in (0, 1):
+        raise ValueError("trace_class_a must be 0 or 1")
     return trace_class_a ^ 1
 
 
@@ -206,14 +212,15 @@ def traces_at(field: FieldSpec, trace_class_a: int, lam):
     q = field.q
     off = _offset(field, trace_class_a)
     columns = _count_table(field)[:, lam]
-    counts = columns if columns.ndim > 1 else columns.tolist()  # Python ints for one lam
-    offsets = (off, off, off, 0, 0, 0, off)
-    n = [q - 1 - c if o else c for c, o in zip(counts, offsets)]
+    n1, n3, n5 = columns if columns.ndim > 1 else columns.tolist()  # Python ints for one lam
+    if off:  # phi5 = phi1 + phi3 carries the constant twice
+        n1, n3 = q - 1 - n1, q - 1 - n3
+    n = [(n1, n3, n5)[r] for r in _ROW]
     # x = 0 lies on the polynomial cover; its fibre splits iff the constant
     # has trace zero.
-    t1 = q - 2 * (n[0] + (1 - off))
-    t3 = q - 1 - 2 * n[2]
-    t5 = q - 1 - 2 * n[4]
+    t1 = q - 2 * (n1 + (1 - off))
+    t3 = q - 1 - 2 * n3
+    t5 = q - 1 - 2 * n5
     tg = t5  # g_count = n5
     return n, t1, t3, t5, tg, 2 * t1 + 2 * t3 + 2 * t5 + tg
 
@@ -248,7 +255,7 @@ def split_count(subset: str, params: CurveParams) -> int:
     acc = 0
     for bits in range(8):
         if bits & ~chosen == 0:
-            chi = 2 * counts[_INDEX_OF_BITS[bits] - 1] - (q - 1) if bits else q - 1
+            chi = 2 * counts[_ROW[_INDEX_OF_BITS[bits] - 1]] - (q - 1) if bits else q - 1
             acc += -chi if off and bin(bits).count("1") % 2 else chi
     width = 1 << len(SUBSETS[subset])
     if acc % width:
@@ -282,6 +289,9 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
 
 def n_counts_all(field: FieldSpec) -> np.ndarray:
     """All seven counts for every lam at once: result[i-1][lam] = n_i(lam),
-    the read-only per-field table.  Column lam = 0 is filler.
+    a read-only (7, q) expansion of the count table, made on each call.
+    Column lam = 0 is filler.
     """
-    return _count_table(field)
+    table = np.take(_count_table(field), _ROW, axis=0)
+    table.flags.writeable = False
+    return table

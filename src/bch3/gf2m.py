@@ -35,9 +35,10 @@ from functools import lru_cache
 import numpy as np
 
 # Largest degree whose per-field tables are built.  Cold through the CLI
-# on a 2-core Xeon, `table --m 21` takes 1.2 s at 247 MB peak RSS and
-# `table --m 23` 3.4-3.8 s at 905 MB; each odd step of m multiplies the
-# peak by about 3.7, so m = 25 (about 3.3 GB) would not fit well under 8 GB.
+# on a 2-core Xeon, `table --m 21` takes 1.2 s at 217 MB peak RSS and
+# `table --m 23` 3.8-4.0 s at 716 MB.  Every table is q-sized, so each odd
+# step of m multiplies the peak above the interpreter's 35 MB by about 4
+# (3.7 from m = 21 to 23), and m = 25 would take about 2.8 GB.
 TABLE_MAX_M = 23
 
 

@@ -131,17 +131,15 @@ def test_criterion_9_property_suite():
             root2q = 1 << ((m + 1) // 2)
             lo, hi = coset.refined_even_interval(m)
             t3_seen = set()
+            # the counts the table reads from the rows of n1, n3 and n5:
+            # every lam at m = 5, eight seeded lam at m = 7
+            sampled = range(1, q) if m == 5 else random.Random(m).sample(range(1, q), 8)
+            for lam in sampled:
+                for i in (2, 4, 6, 7):
+                    assert n_count(field, i, lam, 0) == n_count_slow(field, i, lam, 0)
+                assert curves.g_count(field, lam) == g_count_slow(field, lam)
             for lam in range(1, q):
-                for off in (0, 1):
-                    n = [n_count(field, i, lam, off) for i in range(1, 8)]
-                    assert n[0] == n[1] and n[4] == n[5] and n[6] == n[2]
-                assert n_count(field, 4, lam, 0) == curves.g_count(field, lam)
                 assert n_count(field, 5, lam, 0) == curves.g_count(field, field.pow(lam, 4))
-                if m == 5:
-                    # the rows the count table copies from n1, n3 and n5
-                    for i in (2, 4, 6, 7):
-                        assert n_count(field, i, lam, 0) == n_count_slow(field, i, lam, 0)
-                    assert curves.g_count(field, lam) == g_count_slow(field, lam)
                 for c in (0, 1):
                     zeros = n_count(field, 1, lam, field.trace(c)) + (1 - field.trace(c))
                     assert q - 2 * zeros in (0, root2q, -root2q)

@@ -295,15 +295,16 @@ class TestFormatsAndErrors:
     @pytest.mark.parametrize("m", ["8", "17"])
     def test_verify_outside_oracle_domain_exit_one(self, capsys, monkeypatch, m):
         # even m has no closed form; m = 17 is past the oracle and must fail
-        # before the count table is built
+        # before the count table is built.  Every read of the table goes
+        # through the module attribute, cached or not, so the spy sees it.
         built = []
-        count_table = cli.curves.n_counts_all
+        count_table = cli.curves._count_table
 
         def spy(field):
             built.append(field.m)
             return count_table(field)
 
-        monkeypatch.setattr(cli.curves, "n_counts_all", spy)
+        monkeypatch.setattr(cli.curves, "_count_table", spy)
         assert cli.main(["verify", "--m", m]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -311,6 +312,10 @@ class TestFormatsAndErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
         assert 17 not in built
+        # the control: an in-range verify reads the table, and the spy sees it
+        assert cli.main(["verify", "--m", "5"]) == 0
+        capsys.readouterr()
+        assert 5 in built
 
     def test_missing_gamma_file_exit_one(self, capsys, tmp_path):
         missing = tmp_path / "no-such-profile.txt"

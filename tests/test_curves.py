@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -133,20 +134,12 @@ class TestCounts:
         # frozen by exhaustive enumeration over the 31 nonzero x
         assert n_count(f5, 3, 1, 0) == 21
 
-    @pytest.mark.parametrize("m", [5, 7])
-    def test_symmetries(self, m):
-        field = make_field(m)
-        for lam in range(1, field.q):
-            for off in (0, 1):
-                n = [n_count(field, i, lam, off) for i in range(1, 8)]
-                assert n[0] == n[1]  # x -> 1/x swaps the cubic covers
-                assert n[4] == n[5]
-                assert n[6] == n[2]  # cube map is a bijection for odd m
-            assert n_count(field, 4, lam, 0) == g_count(field, lam)
-
     def test_table_is_read_only(self, f5):
+        # the cached three rows, and the seven-row expansion made from them
+        table = curves._count_table(f5)
+        assert table.shape == (3, f5.q) and table.dtype == np.int32
         with pytest.raises(ValueError):
-            curves._count_table(f5)[0, 1] = 0
+            table[0, 1] = 0
         with pytest.raises(ValueError):
             n_counts_all(f5)[:, 1] = 0
         assert n_counts_all(f5).shape == (7, f5.q)
@@ -184,7 +177,7 @@ class TestWalshHadamard:
 
         def off_by_one(a):
             sums = transform(a)
-            sums[2, 7] += 1  # the phi5 row, which fills rows n4, n5 and n6
+            sums[2, 7] += 1  # the phi5 row, which holds n4, n5 and n6
             return sums
 
         monkeypatch.setattr(curves, "_fwht", off_by_one)
@@ -209,7 +202,7 @@ class TestBeyondThePaper:
         def traces(lam, psi):
             return np.bitwise_count(mul_array(field, lam, psi) & field.trace_mask) & 1
 
-        table = curves._count_table(field)
+        table = n_counts_all(field)  # all seven rows, through the row map
         for lam in random.Random(m).sample(range(1, field.q), 3):
             t1, t2, t3 = (traces(lam, psi) for psi in (cube ^ xs, inv_cube ^ inv, xs ^ inv))
             tg = traces(lam, cube) ^ (np.bitwise_count(inv & field.trace_mask) & 1)
@@ -309,6 +302,17 @@ class TestSplitCounts:
                     value = split_count(subset, curve_params(field, cls, b))
                     assert lo <= value <= hi
 
+    @pytest.mark.parametrize("cls", [-1, 2])
+    def test_bad_trace_class_rejected(self, f5, cls):
+        # trace_class_a is Tr(A) for normalized A, so only 0 and 1 are classes
+        bad_class = "trace_class_a must be 0 or 1"
+        with pytest.raises(ValueError, match=bad_class):
+            curves.traces_at(f5, cls, 3)
+        with pytest.raises(ValueError, match=bad_class):
+            split_count("f3", dataclasses.replace(curve_params(f5, 0, 2), trace_class_a=cls))
+        with pytest.raises(ValueError, match=bad_class):
+            split_interval("f3", f5, cls)
+
     def test_f3_interval_values(self, f5):
         # Tr(A+1) = 1 is trace class 0: (q-1 -+ [2 sqrt q])/4
         assert split_interval("f3", f5, 0) == (5.0, 10.5)
@@ -317,9 +321,9 @@ class TestSplitCounts:
 
 
 class TestIsoCheck:
-    """The table's rows n2, n4, n6, n7 and g are copies of the transformed
-    rows n1, n3 and n5 (docs/count_table.md), so they are checked against
-    their own per-x definitions."""
+    """n2, n4, n6, n7 and g are read from the rows that hold n1, n3 and n5
+    (docs/count_table.md), so they are checked against their own per-x
+    definitions."""
 
     @pytest.mark.parametrize("m", [5, 7])
     def test_all_lambdas_pass(self, m):
