@@ -130,8 +130,9 @@ def _cmd_split(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     field = _table_field(args)
-    # the oracle rows first: past the oracle's limit they fail before any
-    # count table is built
+    # the odd-degree rule first, and then the oracle rows: past the oracle's
+    # limit they fail before any count table is built
+    curves.require_odd(field.m)
     rows = [oracle.weight4_row(field, cls) for cls in (0, 1)]
     mismatches = []
     for cls, row in enumerate(rows):

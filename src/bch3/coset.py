@@ -2,14 +2,15 @@
 
 For odd m and a normalized representative A in {0, 1} the invariant is a
 linear combination of the seven fibre counts at lam = B + 1.  With
-n1 = n2, n3 = n7 and n4 = n5 = n6 (docs/count_table.md) it reads
+n1 = n2, n3 = n7 and n4 = n5 = n6 (docs/count_table.md) it reads, in
+both trace classes,
 
-    trace class 0:  N = (2q - 2 - 2*(2*n1 + 2*n3 - 3*n5)) / 24
-    trace class 1:  N = (-6q - 2 + 2*(2*n1 + 2*n3 + 3*n5)) / 24
+    N = (-6q - 2 + 8*off + 2*(2*n1' + 2*n3' + 3*n5)) / 24,
 
-with every count taken offset-free.  General (A, B) reduce to this shape
-along the translation x_i -> x_i + s, which fixes lam = B + A^2 + A + 1
-and the trace class of A.
+where off = Tr(A + 1) and n1', n3' are counted against a constant of
+trace off (q - 1 - n when off = 1), as curves._rows returns them.
+General (A, B) reduce to this shape along the translation x_i -> x_i + s,
+which fixes lam = B + A^2 + A + 1 and the trace class of A.
 """
 
 from __future__ import annotations
@@ -23,13 +24,8 @@ from importlib import resources
 import numpy as np
 
 from . import curves
-from .curves import DegenerateLambdaError
+from .curves import DegenerateLambdaError, require_odd
 from .gf2m import FieldSpec, check_table_degree, make_field
-
-
-def _require_odd(m: int) -> None:
-    if m % 2 == 0:
-        raise ValueError(f"the pipeline is defined for odd extension degrees, got m={m}")
 
 
 @lru_cache(maxsize=None)
@@ -37,19 +33,13 @@ def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
     """N for normalized A (trace class only) and every B, indexed by B, as
     a read-only int64 array; the degenerate B = 1 (lam = 0) holds -1.
 
-    One combine over the lam != 0 columns of the count table, checked once
-    to sit on the even part of its lattice; the lam = 0 column never
-    reaches that check.
+    One combine over the lam != 0 columns of the adjusted count rows,
+    checked once to sit on the even part of its lattice; the lam = 0
+    column never reaches that check.
     """
-    _require_odd(field.m)
-    if trace_class_a not in (0, 1):
-        raise ValueError("trace_class_a must be 0 or 1")
     q = field.q
-    n1, n3, n5 = curves._count_table(field)[:, 1:]
-    if trace_class_a == 0:
-        num = 2 * q - 2 - 2 * (2 * n1 + 2 * n3 - 3 * n5)
-    else:
-        num = -6 * q - 2 + 2 * (2 * n1 + 2 * n3 + 3 * n5)
+    off, n1, n3, n5 = curves._rows(field, trace_class_a, slice(1, None))
+    num = -6 * q - 2 + 8 * off + 2 * (2 * n1 + 2 * n3 + 3 * n5)
     if (num % 24).any() or (num < 0).any() or (num // 24 % 2).any():
         raise AssertionError("invariant left its lattice")
     values = np.full(q, -1, dtype=np.int64)
@@ -115,7 +105,7 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     before it is returned: the class totals, the first moment
     sum N = (q - 2)(q - 4)/12, the refined interval and the second moment.
     """
-    _require_odd(m)
+    require_odd(m)
     if m < 5:  # at m = 3, x^5 = (x^3)^4: the code corrects only two errors
         raise ValueError(f"the tables need m >= 5, got m={m}")
     check_table_degree(m)  # before the modulus search
@@ -184,7 +174,7 @@ class BoundReport:
 
 def weil_interval(m: int) -> tuple[float, float]:
     """Genus-13 point-count bound scaled to the invariant, clamped at 0."""
-    _require_odd(m)
+    require_odd(m)
     q = 1 << m
     t = math.isqrt(4 * q)
     return max((q - 11 - 13 * t) / 24, 0.0), (q + 1 + 13 * t) / 24
@@ -202,7 +192,7 @@ def refined_even_interval(m: int) -> tuple[int, int]:
     """Even integers admissible under the refined trace bound: the
     smallest even above the lower endpoint (clamped at 0) through the
     largest even below the upper one.  Exact integer arithmetic."""
-    _require_odd(m)
+    require_odd(m)
     q = 1 << m
     t = math.isqrt(4 * q)
     s = 1 << ((m + 3) // 2)  # 2*sqrt(2q), exact for odd m
@@ -219,7 +209,7 @@ def heuristic_even_interval(m: int) -> tuple[int, int]:
     integer c, floor(c + sqrt(32)) = c + 5 and ceil(c + sqrt(32)) = c + 6;
     the rounding is exact integer arithmetic for every m.
     """
-    _require_odd(m)
+    require_odd(m)
     q = 1 << m
     t = math.isqrt(4 * q)
     s = 1 << ((m + 3) // 2)
@@ -231,7 +221,7 @@ def heuristic_even_interval(m: int) -> tuple[int, int]:
 def bounds(m: int) -> BoundReport:
     """All three enclosures for 2^m.  Past m = 1027 the Weil endpoints
     overflow a double."""
-    _require_odd(m)
+    require_odd(m)
     if not 3 <= m <= 1027:
         raise ValueError(f"bounds need 3 <= m <= 1027, got m={m}")
     return BoundReport(

@@ -9,10 +9,11 @@ their pairwise sums and the triple sum, plus g = lam*x^3 + 1/x.  At odd
 m these counts take three values, n1 = n2, n3 = n7, n4 = n5 = n6 = g
 (docs/count_table.md), so the cached, read-only table per field
 (_count_table) holds just n1, n3 and n5 for all lam, one Walsh-Hadamard
-transform each, and _ROW names the row that holds each n_i.  Constant
-offsets with trace 1 only flip which x count toward a fibre total, so
-they are read as q - 1 - n; splitting counts are inclusion-exclusion over
-the same rows, as phi4..phi7 sum phi1..phi3.
+transform each, and _ROW names the row that holds each n_i.  The trace
+class of A enters only through _rows, as off = Tr(A + 1), the trace of a
+constant added to phi1 and phi3: off = 1 flips them to n' = q - 1 - n and
+keeps n5.  Traces, splitting counts (inclusion-exclusion, as phi4..phi7
+sum phi1..phi3) and coset.invariants read these adjusted rows.
 
 The per-parameter invariants are table lookups as well: lambda_of reads
 a^2 from the square table, and curve_params reads j = lam^-4 as
@@ -61,8 +62,7 @@ class CurveParams:
 
 def curve_params(field: FieldSpec, trace_class_a: int, b: int) -> CurveParams:
     """Validated CurveParams for normalized A (so lam = b + 1)."""
-    if trace_class_a not in (0, 1):
-        raise ValueError("trace_class_a must be 0 or 1")
+    _offset(field, trace_class_a)
     field._check(b)
     lam = b ^ 1
     if lam == 0:
@@ -155,8 +155,7 @@ def _count_table(field: FieldSpec) -> np.ndarray:
         n7 = n3:           x -> x^3, a bijection of F_q^* at odd m,
         n4 = n5:           u = x + 1/x, then a character sum (odd m).
     """
-    if field.m % 2 == 0:
-        raise ValueError(f"the count table requires odd extension degree, got m={field.m}")
+    require_odd(field.m)
     sums = _fwht(_mask_histograms(field))
     sums += field.q - 1
     if (sums & 1).any():
@@ -191,13 +190,31 @@ def g_count(field: FieldSpec, lam: int) -> int:
     return int(_count_table(field)[_ROW[4], lam])
 
 
+def require_odd(m: int) -> None:
+    """Refuse even m: n7 = n3, n4 = n5 and Tr(1) = 1 hold at odd m only."""
+    if m % 2 == 0:
+        raise ValueError(f"the pipeline requires odd extension degree, got m={m}")
+
+
 def _offset(field: FieldSpec, trace_class_a: int) -> int:
     """Tr(A + 1) for normalized A: Tr(1) = 1 holds for odd m only."""
-    if field.m % 2 == 0:
-        raise ValueError("trace derivation requires odd extension degree")
+    require_odd(field.m)
     if trace_class_a not in (0, 1):
         raise ValueError("trace_class_a must be 0 or 1")
     return trace_class_a ^ 1
+
+
+def _rows(field: FieldSpec, trace_class_a: int, lam):
+    """(off, n1', n3', n5) at lam, off = Tr(A + 1): n1' and n3' count phi1 + c
+    and phi3 + c, c a constant of trace off (q - 1 - n when off = 1), and
+    phi5 = phi1 + phi3 carries c twice.  One int lam gives Python ints; an
+    index array or slice over the table's columns gives arrays."""
+    off = _offset(field, trace_class_a)
+    columns = _count_table(field)[:, lam]
+    n1, n3, n5 = columns if columns.ndim > 1 else columns.tolist()
+    if off:
+        n1, n3 = field.q - 1 - n1, field.q - 1 - n3
+    return off, n1, n3, n5
 
 
 def traces_at(field: FieldSpec, trace_class_a: int, lam):
@@ -210,19 +227,14 @@ def traces_at(field: FieldSpec, trace_class_a: int, lam):
     F_q^* plus two points).
     """
     q = field.q
-    off = _offset(field, trace_class_a)
-    columns = _count_table(field)[:, lam]
-    n1, n3, n5 = columns if columns.ndim > 1 else columns.tolist()  # Python ints for one lam
-    if off:  # phi5 = phi1 + phi3 carries the constant twice
-        n1, n3 = q - 1 - n1, q - 1 - n3
+    off, n1, n3, n5 = _rows(field, trace_class_a, lam)
     n = [(n1, n3, n5)[r] for r in _ROW]
     # x = 0 lies on the polynomial cover; its fibre splits iff the constant
     # has trace zero.
     t1 = q - 2 * (n1 + (1 - off))
     t3 = q - 1 - 2 * n3
     t5 = q - 1 - 2 * n5
-    tg = t5  # g_count = n5
-    return n, t1, t3, t5, tg, 2 * t1 + 2 * t3 + 2 * t5 + tg
+    return n, t1, t3, t5, t5, 2 * t1 + 2 * t3 + 3 * t5  # tg = t5, as g_count = n5
 
 
 def curve_traces(params: CurveParams) -> TraceProfile:
@@ -235,28 +247,26 @@ def split_count(subset: str, params: CurveParams) -> int:
     """Number of pairs (x, 1/x), x not in {0, 1}, whose fibres split
     completely in every cover named by subset.
 
-    The indicator of trace(phi_i(x)) = off is (1 + (-1)^off * e_i(x))/2
-    with e_i(x) = (-1)^trace(phi_i(x)).  Expanding the product over the
-    subset S and summing over F_q^* gives
+    The indicator of trace(phi_i(x) + c) = 0, c a constant of trace off,
+    is (1 + e_i'(x))/2 with e_i'(x) = (-1)^trace(phi_i(x) + c).  Expanding
+    the product over the subset S and summing over F_q^* gives
 
-        2^-|S| * sum over U subset of S of (-1)^(|U|*off) * chi_U,
+        2^-|S| * sum over U subset of S of chi_U',
 
-    where phi_U is the sum of the phi_i in U (one of phi1..phi7),
-    chi_U = 2*n_U - (q - 1) from its count, and chi of the empty U is
-    q - 1.  x = 1, where every phi_i vanishes, is then taken out.
+    where phi_U is the sum of the phi_i in U (one of phi1..phi7) plus |U|
+    copies of c, chi_U' = 2*n_U' - (q - 1) from its adjusted count (_rows),
+    and chi of the empty U is q - 1.  x = 1, where every phi_i vanishes,
+    is then taken out.
     """
     if subset not in SUBSETS:
         raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
-    field = params.field
-    q = field.q
-    off = _offset(field, params.trace_class_a)
-    counts = _count_table(field)[:, params.lam].tolist()
+    q = params.field.q
+    off, *rows = _rows(params.field, params.trace_class_a, params.lam)
     chosen = sum(1 << (i - 1) for i in SUBSETS[subset])
-    acc = 0
-    for bits in range(8):
+    acc = q - 1
+    for bits in range(1, 8):
         if bits & ~chosen == 0:
-            chi = 2 * counts[_ROW[_INDEX_OF_BITS[bits] - 1]] - (q - 1) if bits else q - 1
-            acc += -chi if off and bin(bits).count("1") % 2 else chi
+            acc += 2 * rows[_ROW[_INDEX_OF_BITS[bits] - 1]] - (q - 1)
     width = 1 << len(SUBSETS[subset])
     if acc % width:
         raise AssertionError("inclusion-exclusion must give a whole count")
@@ -272,16 +282,14 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
     Lower endpoints are clamped at zero; counts are nonnegative even when
     the small-q formulas dip below it.
     """
-    tr_a1 = _offset(field, trace_class_a)
+    off = _offset(field, trace_class_a)
     q = field.q
     t = math.isqrt(4 * q)
     s = 1 << ((field.m + 3) // 2)  # 2*sqrt(2q), exact for odd m
     if subset == "f1f2":
-        base = q - 7 if tr_a1 == 0 else q + 1
-        lo, hi = (base - 3 * t - s) / 8, (base + 3 * t + s) / 8
+        lo, hi = (q - 7 + 8 * off - 3 * t - s) / 8, (q - 7 + 8 * off + 3 * t + s) / 8
     elif subset == "f3":
-        base = q - 3 if tr_a1 == 0 else q - 1
-        lo, hi = (base - t) / 4, (base + t) / 4
+        lo, hi = (q - 3 + 2 * off - t) / 4, (q - 3 + 2 * off + t) / 4
     else:
         return None
     return max(lo, 0.0), hi

@@ -179,6 +179,7 @@ class FieldSpec:
         return acc
 
 
+@lru_cache(maxsize=None)  # the irreducibility test and trace mask run once per field
 def make_field(m: int, modulus: int | None = None) -> FieldSpec:
     """Validated FieldSpec; picks the default modulus when none is given."""
     if modulus is None:

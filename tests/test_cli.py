@@ -195,6 +195,34 @@ class TestFormatsAndErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["nab", "--tr-a", "0", "--b", "0x3"],
+            ["table"],
+            ["verify"],
+            ["bounds"],
+            ["traces", "--b", "0x3"],
+            ["split", "--b", "0x3", "--subset", "f3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_even_m_one_error_line(self, capsys, argv):
+        # one odd-degree rule behind every command, so one message
+        with pytest.raises(ValueError, match="odd extension degree, got m=6") as rule:
+            cli.curves.require_odd(6)
+        assert cli.main([argv[0], "--m", "6", *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {rule.value}\n"
+
+    def test_verify_even_m_refused_before_the_oracle(self, capsys, monkeypatch):
+        rows = []
+        monkeypatch.setattr(cli.oracle, "weight4_row", lambda *args: rows.append(args))
+        assert cli.main(["verify", "--m", "6"]) == 1
+        assert rows == []
+        assert "odd extension degree, got m=6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["nab", "--m", "31", "--tr-a", "0", "--b", "0x2"],
             ["traces", "--m", "31", "--b", "0x2"],
             ["split", "--m", "31", "--b", "0x2", "--subset", "f3"],

@@ -350,6 +350,25 @@ class TestIsoCheck:
         assert n_count_slow(f5, 5, 1, 0) == g_count_slow(f5, 1) == g_count(f5, 1)
 
 
+class TestAdjustedRows:
+    """_rows is the one place where the trace-one constant of class 0 flips
+    the rows of n1 and n3 and keeps that of n5, so every row is checked
+    against per-x counts of phi_i + c, with c of the trace each row needs."""
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_rows_match_per_x_counts(self, m):
+        field = make_field(m)
+        batched = {cls: curves._rows(field, cls, np.arange(1, field.q)) for cls in (0, 1)}
+        for lam in range(1, field.q):
+            n5 = n_count_slow(field, 5, lam, 0)  # phi5 = phi1 + phi3 carries c twice
+            for cls in (0, 1):
+                off = field.trace(cls ^ 1)  # Tr(A + 1) at the normalized A = cls
+                n1, n3 = (n_count_slow(field, i, lam, off) for i in (1, 3))
+                assert curves._rows(field, cls, lam) == (off, n1, n3, n5)
+                off_batched, *rows = batched[cls]
+                assert (off_batched, *(int(row[lam - 1]) for row in rows)) == (off, n1, n3, n5)
+
+
 class TestExponentialSums:
     @pytest.mark.parametrize("m", [5, 7])
     def test_cubic_sums_are_supersingular(self, m):

@@ -29,13 +29,20 @@ class TestConstruction:
             make_field(5, 0x1F)
 
     def test_reducible_modulus_rejected(self):
-        # x^5+x^4+x^3+x^2+x+1 = (x+1)(x^4+x^2+1)
-        with pytest.raises(ValueError, match="reducible"):
-            make_field(5, 0x3F)
+        # x^5+x^4+x^3+x^2+x+1 = (x+1)(x^4+x^2+1); a failed construction is
+        # not cached, so it raises every time
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reducible"):
+                make_field(5, 0x3F)
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ValueError):
             make_field(5, 0x24)
+
+    def test_one_field_object_per_modulus(self):
+        # the irreducibility test and the trace mask run on the first call only
+        assert make_field(11) is make_field(11)
+        assert make_field(11, 0x805) is make_field(11, 0x805)
 
     def test_small_degree_rejected(self):
         with pytest.raises(ValueError):
