@@ -49,14 +49,14 @@ def _profile_payload(profile: curves.TraceProfile, params: curves.CurveParams) -
 
 
 def _table_field(args):
-    """The field of a command that reads per-field tables, refusing a
-    degree past the table limit before the modulus search runs."""
+    """The field of a command, refusing a degree past the table limit
+    before the modulus search, whose trial division runs for minutes."""
     check_table_degree(args.m)
     return make_field(args.m, args.modulus)
 
 
 def _cmd_field(args) -> dict:
-    field = make_field(args.m, args.modulus)
+    field = _table_field(args)
     return {"m": field.m, "modulus": _hex(field.modulus), "q": field.q}
 
 

@@ -61,6 +61,7 @@ def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
 
 def N_of_general(field: FieldSpec, a: int, b: int) -> int:
     """The invariant for arbitrary A: translate to the normalized form."""
+    require_odd(field.m)  # before the elements, as for normalized A
     field._check(a)
     lam = curves.lambda_of(field, a, b)
     if lam == 0:

@@ -12,13 +12,13 @@ m these counts take three values, n1 = n2, n3 = n7, n4 = n5 = n6 = g
 transform each, and _ROW names the row that holds each n_i.  The trace
 class of A enters only through _rows, as off = Tr(A + 1), the trace of a
 constant added to phi1 and phi3: off = 1 flips them to n' = q - 1 - n and
-keeps n5.  Traces, splitting counts (inclusion-exclusion, as phi4..phi7
-sum phi1..phi3) and coset.invariants read these adjusted rows.
+keeps n5.  Every per-curve value is a fixed form in these adjusted rows:
+the traces, coset.invariants, and each splitting count, whose
+inclusion-exclusion coefficients of (n1', n3', n5) SUBSETS holds.
 
-The per-parameter invariants are table lookups as well: lambda_of reads
-a^2 from the square table, and curve_params reads j = lam^-4 as
-exp[-4*log(lam) mod (q - 1)] from the log tables, which the count
-table's build has already filled.
+lambda_of reads a^2 from the square table.  CurveParams computes
+j = lam^-4 only when it is read, as exp[-4*log(lam) mod (q - 1)] from
+the log tables, which the count table's build has already filled.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import numpy as np
 
 from .gf2m import FieldSpec, inverse_table, log_tables, power_table, trace_mul_table
 
-SUBSETS = {"f1f2": (1, 2), "f3": (3,), "f1f2f3": (1, 2, 3)}
+# Coefficients of (n1', n3', n5) in split_count's sum over the subsets U.
+SUBSETS = {"f1f2": (2, 0, 1), "f3": (0, 1, 0), "f1f2f3": (2, 2, 3)}
 
 
 class DegenerateLambdaError(ValueError):
@@ -50,14 +51,19 @@ def lambda_of(field: FieldSpec, a: int, b: int) -> int:
 @dataclass(frozen=True)
 class CurveParams:
     """One member of the family: trace class of A, the element B, and the
-    derived invariants lam = B + 1 and j = lam^-4, the latter read off
-    the field's log tables as exp[-4*log(lam) mod (q - 1)]."""
+    derived invariant lam = B + 1."""
 
     field: FieldSpec
     trace_class_a: int
     b: int
     lam: int
-    j_invariant: int
+
+    @property
+    def j_invariant(self) -> int:
+        """j = lam^-4, read off the field's log tables as
+        exp[-4*log(lam) mod (q - 1)]."""
+        exp, log = log_tables(self.field)
+        return int(exp[-4 * int(log[self.lam]) % (self.field.q - 1)])
 
 
 def curve_params(field: FieldSpec, trace_class_a: int, b: int) -> CurveParams:
@@ -69,9 +75,7 @@ def curve_params(field: FieldSpec, trace_class_a: int, b: int) -> CurveParams:
         raise DegenerateLambdaError(
             f"b=0x{b:x} gives lam=0: the curve degenerates into twelve lines"
         )
-    exp, log = log_tables(field)
-    j = int(exp[-4 * int(log[lam]) % (field.q - 1)])
-    return CurveParams(field=field, trace_class_a=trace_class_a, b=b, lam=lam, j_invariant=j)
+    return CurveParams(field=field, trace_class_a=trace_class_a, b=b, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,6 @@ class TraceProfile:
     tg: int
     t_combined: int
 
-
-# Function index of the sum of phi1, phi2, phi3 selected by bits 0, 1, 2.
-_INDEX_OF_BITS = (0, 1, 2, 4, 3, 5, 6, 7)
 
 # The count table row that holds n_i, at index i - 1: n1 and n2 in row 0,
 # n3 and n7 in row 1, n4, n5 and n6 in row 2 (docs/count_table.md).
@@ -184,10 +185,7 @@ def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
 
 def g_count(field: FieldSpec, lam: int) -> int:
     """#{x in F_q^* : trace(lam*x^3 + 1/x) = 0}, which is n5(lam)."""
-    field._check(lam)
-    if lam == 0:
-        raise DegenerateLambdaError("lam=0 has no associated curves")
-    return int(_count_table(field)[_ROW[4], lam])
+    return n_count(field, 5, lam, 0)
 
 
 def require_odd(m: int) -> None:
@@ -255,19 +253,19 @@ def split_count(subset: str, params: CurveParams) -> int:
 
     where phi_U is the sum of the phi_i in U (one of phi1..phi7) plus |U|
     copies of c, chi_U' = 2*n_U' - (q - 1) from its adjusted count (_rows),
-    and chi of the empty U is q - 1.  x = 1, where every phi_i vanishes,
-    is then taken out.
+    and chi of the empty U is q - 1.  So phi4 = phi1 + phi2 reads n5 and
+    phi7 reads n3', and with the coefficients c of (n1', n3', n5) summed
+    over the nonempty U in SUBSETS, and w = 1 + sum(c) = 2^|S| terms, the
+    sum is (2 - w)(q - 1) + 2*sum(c*n').  x = 1, where every phi_i
+    vanishes, is then taken out.
     """
     if subset not in SUBSETS:
         raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
     q = params.field.q
-    off, *rows = _rows(params.field, params.trace_class_a, params.lam)
-    chosen = sum(1 << (i - 1) for i in SUBSETS[subset])
-    acc = q - 1
-    for bits in range(1, 8):
-        if bits & ~chosen == 0:
-            acc += 2 * rows[_ROW[_INDEX_OF_BITS[bits] - 1]] - (q - 1)
-    width = 1 << len(SUBSETS[subset])
+    off, n1, n3, n5 = _rows(params.field, params.trace_class_a, params.lam)
+    c1, c3, c5 = SUBSETS[subset]
+    width = 1 + c1 + c3 + c5
+    acc = (2 - width) * (q - 1) + 2 * (c1 * n1 + c3 * n3 + c5 * n5)
     if acc % width:
         raise AssertionError("inclusion-exclusion must give a whole count")
     total = acc // width - (1 - off)

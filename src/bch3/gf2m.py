@@ -83,7 +83,7 @@ def find_default_modulus(m: int) -> int:
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: make_field builds one per field
 class FieldSpec:
     """A concrete F_{2^m}: degree, modulus, and the precomputed trace mask.
 
@@ -182,8 +182,8 @@ class FieldSpec:
 @lru_cache(maxsize=None)  # the irreducibility test and trace mask run once per field
 def make_field(m: int, modulus: int | None = None) -> FieldSpec:
     """Validated FieldSpec; picks the default modulus when none is given."""
-    if modulus is None:
-        modulus = find_default_modulus(m)
+    if modulus is None:  # through the cache, so both spellings share one object
+        return make_field(m, find_default_modulus(m))
     return FieldSpec(m, modulus)
 
 

@@ -201,6 +201,9 @@ class TestFormatsAndErrors:
             ["bounds"],
             ["traces", "--b", "0x3"],
             ["split", "--b", "0x3", "--subset", "f3"],
+            # before the elements: lam = 0, and an a outside F_2^6
+            pytest.param(["nab", "--a", "0x0", "--b", "0x1"], id="nab-a-lam0"),
+            pytest.param(["nab", "--a", "0x40", "--b", "0x0"], id="nab-a-non-element"),
         ],
         ids=lambda argv: argv[0],
     )
@@ -276,6 +279,14 @@ class TestFormatsAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: 0x40 is not an element of F_2^5\n"
+
+    def test_field_refused_past_table_limit(self, capsys):
+        # refused before the modulus search, whose trial division at this
+        # degree would not finish
+        assert cli.main(["field", "--m", "64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: m=64 is too large for the per-field tables (limit m <= 23)\n"
 
     def test_bad_modulus_exit_one(self, capsys):
         assert cli.main(["field", "--m", "5", "--modulus", "0x3f"]) == 1

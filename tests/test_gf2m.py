@@ -43,6 +43,9 @@ class TestConstruction:
         # the irreducibility test and the trace mask run on the first call only
         assert make_field(11) is make_field(11)
         assert make_field(11, 0x805) is make_field(11, 0x805)
+        # fields hash by identity, so the default modulus spelled out must
+        # give the same object, or every per-field table is built twice
+        assert make_field(11) is make_field(11, find_default_modulus(11))
 
     def test_small_degree_rejected(self):
         with pytest.raises(ValueError):
