@@ -133,7 +133,7 @@ def _cmd_verify(args) -> dict:
     # the odd-degree rule first, and then the oracle rows: past the oracle's
     # limit they fail before any count table is built
     curves.require_odd(field.m)
-    rows = [oracle.weight4_row(field, cls) for cls in (0, 1)]
+    rows = oracle.weight4_rows(field, (0, 1))
     mismatches = []
     for cls, row in enumerate(rows):
         differ = coset.invariants(field, cls) != row

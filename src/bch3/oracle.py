@@ -1,9 +1,9 @@
 """Exhaustive ground truth for the coset computations.
 
 Two independent checks live here: a brute-force count of weight-4
-words per syndrome, one row (1, a, *) at a time (the 4-subsets through 0
-are enumerated and each is moved onto row a by the translations
-x -> x + t with t^2 + t = a + s3, see docs/weight4_oracle.md), and the
+words per syndrome, every requested row (1, a, *) from one enumeration
+of the 4-subsets through 0, each moved onto row a by the translations
+x -> x + t with t^2 + t = a + s3 (see docs/weight4_oracle.md), and the
 exact covering radius via breadth-first search over the scaling and
 Frobenius orbits of the syndrome group (see docs/covering_radius_bfs.md).
 
@@ -23,57 +23,69 @@ from .gf2m import FieldSpec, log_tables, make_field, power_table
 BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 13
 _CHUNK = 1 << 14  # BFS neighbours, orbit members or table entries per numpy pass, cache-sized
-_SETS_CHUNK = 1 << 17  # (x, y) pairs enumerated per pass of the weight-4 oracle
+_SETS_CHUNK = 1 << 15  # base sets per block of the weight-4 oracle, at most: 256 KB int64 blocks
 
 
-@lru_cache(maxsize=None)
-def weight4_row(field: FieldSpec, a: int) -> np.ndarray:
-    """row[b] = number of 4-subsets of F_q with power sums (1, a, b).
+def weight4_rows(field: FieldSpec, avals) -> np.ndarray:
+    """rows[i, b] = number of 4-subsets of F_q with power sums (1, avals[i], b),
+    as a read-only (len(avals), q) int64 array.
 
-    Counts over translations (see docs/weight4_oracle.md): a set
+    Counts over translations (see docs/weight4_oracle.md): a base set
     {0, x, y, z} with sum 1 and syndrome (s3, s5) shifted by t lands on
-    (a, s5 + t + t^4) iff t^2 + t = a + s3, which has the two roots t0 and
-    t0 + 1 iff Tr(a + s3) = 0; both move s5 alike.  Each 4-set is met from
-    four (set, shift) pairs and each kept set stands for two, so the
-    counts are halved.  The pairs (x, y) are enumerated a block of rows
-    at a time, so memory stays flat in q.
+    (a, s5 + t + t^4) iff t^2 + t = a + s3, which has the two roots t and
+    t + 1 iff Tr(a + s3) = 0; both move s5 alike.  Each 4-set is met from
+    four (set, shift) pairs and each base set that lands stands for two, so
+    the counts are halved.  The base sets are enumerated once for all
+    requested rows, level by level in the top bit of x, with no set
+    enumerated twice or thrown away.
     """
-    field._check(a)
-    q = field.q
+    avals = tuple(field._check(a) for a in avals)
+    q, m = field.q, field.m
     if q > BRUTE_Q_LIMIT:
         raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
-    cube, fifth, fourth = power_table(field, 3), power_table(field, 5), power_table(field, 4)
+    cube_fifth = power_table(field, 3) << m | power_table(field, 5)  # x^3 above x^5
     t = np.arange(q, dtype=np.int64)
-    root = np.full(q, -1, dtype=np.int64)  # -1 where Tr(v) = 1: no root
-    root[t ^ power_table(field, 2)] = t
-    counts = np.zeros(q, dtype=np.int64)
-    rows = max(1, _SETS_CHUNK // q)
-    for lo in range(1, q, rows):
-        x = t[lo : lo + rows, None]
-        y = t[lo + 1 :]
-        z = 1 ^ x ^ y
-        keep = (x < y) & (y < z)
-        y, z = np.broadcast_to(y, keep.shape)[keep], z[keep]
-        x3, x5 = (np.broadcast_to(power[x], keep.shape)[keep] for power in (cube, fifth))
-        t0 = root[a ^ x3 ^ cube[y] ^ cube[z]]
-        s5 = x5 ^ fifth[y] ^ fifth[z] ^ t0 ^ fourth[t0]  # garbage where t0 = -1, dropped
-        counts += np.bincount(s5[t0 >= 0], minlength=q)
+    # drift[t + t^2] = t + t^4, the same from both roots; q where Tr(v) = 1,
+    # which sends s5 ^ q past the row into bin q + s5
+    drift = np.full(q, q, dtype=np.int64)
+    drift[t ^ power_table(field, 2)] = t ^ power_table(field, 4)
+    drifts = drift[np.array(avals, dtype=np.int64).reshape(-1, 1) ^ t]  # drifts[i, s3] = drift[a_i + s3]
+    counts = np.zeros((len(avals), 2 * q), dtype=np.int64)
+    for k in range(1, m - 1):
+        # x in [2^k, 2^(k+1)); y >= 2^(k+1) with bit k clear, so z = y ^ (1 ^ x)
+        # differs from y first in bit k, where z has it set: x < y < z
+        xs = t[1 << k : 2 << k, None]
+        ys = t[2 << k :].reshape(-1, 2 << k)[:, : 1 << k].ravel()
+        y_powers = cube_fifth[ys]
+        block = max(1, _SETS_CHUNK // len(ys))  # x values per block
+        for lo in range(0, len(xs), block):
+            x = xs[lo : lo + block]
+            s = (cube_fifth[x] ^ y_powers ^ cube_fifth[ys ^ (1 ^ x)]).ravel()
+            s3, s5 = s >> m, s & (q - 1)
+            for row, row_drift in zip(counts, drifts):
+                row += np.bincount(s5 ^ row_drift[s3], minlength=2 * q)
+    counts = counts[:, :q]
     if (counts & 1).any():
         raise AssertionError("row counts must be even: each 4-set is met twice")
-    counts >>= 1
+    counts = counts >> 1
     counts.flags.writeable = False
     return counts
 
 
 @lru_cache(maxsize=None)
+def weight4_row(field: FieldSpec, a: int) -> np.ndarray:
+    """row[b] = number of 4-subsets of F_q with power sums (1, a, b):
+    row a of weight4_rows, cached for brute_N."""
+    return weight4_rows(field, (a,))[0]
+
+
+@lru_cache(maxsize=None)
 def weight4_histogram(field: FieldSpec) -> np.ndarray:
-    """count[s3*q + s5] for every syndrome: the q rows of weight4_row
-    stacked, q^2 entries, so q <= 512 only."""
+    """count[s3*q + s5] for every syndrome: all q rows of weight4_rows from
+    one enumeration, q^2 entries, so q <= 512 only."""
     if field.q > 512:
         raise ValueError(f"q={field.q} is too large for the full histogram (limit 512)")
-    stack = np.concatenate([weight4_row(field, a) for a in range(field.q)])
-    stack.flags.writeable = False
-    return stack
+    return weight4_rows(field, range(field.q)).reshape(-1)
 
 
 def brute_N(field: FieldSpec, a: int, b: int) -> int:

@@ -216,12 +216,31 @@ class TestFormatsAndErrors:
         assert captured.out == ""
         assert captured.err == f"error: {rule.value}\n"
 
+    @staticmethod
+    def spy_on_oracle(monkeypatch) -> list:
+        """Record the avals of every weight4_rows call, then run the real one."""
+        calls, real = [], cli.oracle.weight4_rows
+
+        def spy(field, avals):
+            calls.append(tuple(avals))
+            return real(field, avals)
+
+        monkeypatch.setattr(cli.oracle, "weight4_rows", spy)
+        return calls
+
     def test_verify_even_m_refused_before_the_oracle(self, capsys, monkeypatch):
-        rows = []
-        monkeypatch.setattr(cli.oracle, "weight4_row", lambda *args: rows.append(args))
+        calls = self.spy_on_oracle(monkeypatch)
         assert cli.main(["verify", "--m", "6"]) == 1
-        assert rows == []
+        assert calls == []
         assert "odd extension degree, got m=6" in capsys.readouterr().err
+
+    def test_verify_spy_control(self, capsys, monkeypatch):
+        # in range the same spy sees the one enumeration, so the even-m
+        # test above cannot pass by watching a function verify never calls
+        calls = self.spy_on_oracle(monkeypatch)
+        assert cli.main(["verify", "--m", "5"]) == 0
+        assert calls == [(0, 1)]
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "argv",

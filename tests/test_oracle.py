@@ -100,6 +100,28 @@ class TestBruteN:
         with pytest.raises(ValueError):
             oracle.weight4_row(f5, 1)[0] = 1
 
+    @pytest.mark.parametrize("m", range(5, 14, 2))
+    def test_two_classes_hold_every_base_set_once(self, m):
+        # Tr 1 = 1 at odd m, so each base set {0, x, y, z} lands on exactly
+        # one of the rows A = 0, 1, and after halving the two rows hold
+        # (q - 2)(q - 4) / 12: a level dropped or enumerated twice shows
+        q = 1 << m
+        assert int(oracle.weight4_rows(make_field(m), (0, 1)).sum()) == (q - 2) * (q - 4) // 12
+
+    @pytest.mark.parametrize("m, modulus", [(5, None), (7, 0x89), (9, None)])
+    def test_rows_for_any_tuple_match_single_rows(self, m, modulus):
+        field = make_field(m, modulus)
+        rng = np.random.default_rng(m)
+        avals = tuple(int(a) for a in rng.integers(0, field.q, size=6))
+        avals += (avals[2],)  # a repeat is counted again, not merged
+        rows = oracle.weight4_rows(field, avals)
+        assert rows.shape == (len(avals), field.q)
+        assert np.array_equal(rows, np.stack([oracle.weight4_row(field, a) for a in avals]))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        with pytest.raises(ValueError, match="not an element"):
+            oracle.weight4_rows(field, (0, field.q))
+
     @pytest.mark.parametrize(
         "m, modulus", [(4, None), (5, None), (6, None), (7, None), (8, None), (7, 0x89)]
     )
