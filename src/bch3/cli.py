@@ -14,12 +14,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
 
 from . import coset, curves, oracle
-from .gf2m import check_table_degree, make_field
+from .gf2m import make_field
 
 
 def _hex(value: int) -> str:
@@ -28,9 +29,12 @@ def _hex(value: int) -> str:
 
 def _parse_element(text: str) -> int:
     try:
-        return int(text, 16)
+        value = int(text, 16)
+        if value >= 0:  # int() takes a sign; no element or modulus has one
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a hex element: {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"not a hex element: {text!r}")
 
 
 def _profile_payload(profile: curves.TraceProfile, params: curves.CurveParams) -> dict:
@@ -39,29 +43,17 @@ def _profile_payload(profile: curves.TraceProfile, params: curves.CurveParams) -
         "b": _hex(params.b),
         "lambda": _hex(params.lam),
         "j_invariant": _hex(params.j_invariant),
-        "n": list(profile.n),
-        "t1": profile.t1,
-        "t3": profile.t3,
-        "t5": profile.t5,
-        "tg": profile.tg,
-        "t_combined": profile.t_combined,
+        **asdict(profile),
     }
 
 
-def _table_field(args):
-    """The field of a command, refusing a degree past the table limit
-    before the modulus search, whose trial division runs for minutes."""
-    check_table_degree(args.m)
-    return make_field(args.m, args.modulus)
-
-
 def _cmd_field(args) -> dict:
-    field = _table_field(args)
+    field = make_field(args.m, args.modulus)
     return {"m": field.m, "modulus": _hex(field.modulus), "q": field.q}
 
 
 def _cmd_nab(args) -> dict:
-    field = _table_field(args)
+    field = make_field(args.m, args.modulus)
     if args.a is not None:
         value = coset.N_of_general(field, args.a, args.b)
         return {"a": _hex(args.a), "b": _hex(args.b), "N": value}
@@ -77,13 +69,7 @@ def _cmd_table(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    report = coset.bounds(args.m)
-    return {
-        "q": report.q,
-        "weil": list(report.weil),
-        "refined_even": list(report.refined_even),
-        "heuristic_even": list(report.heuristic_even),
-    }
+    return asdict(coset.bounds(args.m))
 
 
 def _cmd_gamma(args) -> dict:
@@ -103,7 +89,7 @@ def _cmd_gamma(args) -> dict:
 
 
 def _cmd_traces(args) -> dict:
-    field = _table_field(args)
+    field = make_field(args.m, args.modulus)
     if args.tr_a is not None:
         params = curves.curve_params(field, args.tr_a, args.b)
         return _profile_payload(curves.curve_traces(params), params)
@@ -115,7 +101,7 @@ def _cmd_traces(args) -> dict:
 
 
 def _cmd_split(args) -> dict:
-    field = _table_field(args)
+    field = make_field(args.m, args.modulus)
     params = curves.curve_params(field, args.tr_a, args.b)
     count = curves.split_count(args.subset, params)
     interval = curves.split_interval(args.subset, field, args.tr_a)
@@ -129,7 +115,7 @@ def _cmd_split(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    field = _table_field(args)
+    field = make_field(args.m, args.modulus)
     # the odd-degree rule first, and then the oracle rows: past the oracle's
     # limit they fail before any count table is built
     curves.require_odd(field.m)
@@ -149,7 +135,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_covering_radius(args) -> dict:
-    return oracle.covering_radius(args.m).to_json_dict()
+    return asdict(oracle.covering_radius(args.m))
 
 
 class DomainFailure(Exception):
@@ -207,47 +193,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, modulus=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--m", type=int, required=True)
+        if modulus:
+            p.add_argument("--modulus", type=_parse_element, default=None)
         return p
 
-    p = add("field", help="validate and print a field specification")
-    p.add_argument("--modulus", type=_parse_element, default=None)
+    add("field", help="validate and print a field specification")
 
     p = add("nab", help="the weight-4 invariant for one parameter pair")
-    p.add_argument("--modulus", type=_parse_element, default=None)
     parameterization = p.add_mutually_exclusive_group(required=True)
     parameterization.add_argument("--tr-a", type=int, choices=(0, 1), default=None)
     parameterization.add_argument("--a", type=_parse_element, default=None)
     p.add_argument("--b", type=_parse_element, required=True)
 
-    p = add("table", help="full value distribution for one field size")
-    p.add_argument("--modulus", type=_parse_element, default=None)
+    add("table", help="full value distribution for one field size")
 
-    add("bounds", help="value enclosures for one field size")
+    add("bounds", modulus=False, help="value enclosures for one field size")
 
-    p = add("gamma", help="compare the m=13 histogram against the reference profile")
+    p = add("gamma", modulus=False, help="compare the m=13 histogram against the reference profile")
     p.add_argument("--gamma-file", default=None)
 
     p = add("traces", help="fibre counts and Frobenius traces for one parameter")
-    p.add_argument("--modulus", type=_parse_element, default=None)
     p.add_argument("--b", type=_parse_element, required=True)
     p.add_argument("--tr-a", type=int, choices=(0, 1), default=None)
 
     p = add("split", help="complete-splitting pair count for a cover subset")
-    p.add_argument("--modulus", type=_parse_element, default=None)
     p.add_argument("--b", type=_parse_element, required=True)
     p.add_argument("--subset", choices=sorted(curves.SUBSETS), required=True)
     p.add_argument("--tr-a", type=int, choices=(0, 1), default=0)
 
     p = add("verify", help="cross-check the closed form against the exhaustive oracle")
-    p.add_argument("--modulus", type=_parse_element, default=None)
     # every run is exhaustive; the flag is accepted for existing callers
     p.add_argument("--exhaustive", action="store_true")
 
     bfs_range = f"4 <= m <= {oracle.BFS_MAX_M}"
-    add("covering-radius", help=f"exact covering radius by syndrome BFS ({bfs_range})")
+    add("covering-radius", modulus=False, help=f"exact covering radius by syndrome BFS ({bfs_range})")
 
     return parser
 
@@ -270,8 +252,6 @@ def main(argv=None) -> int:
     modulus = payload.get("modulus")
     if modulus is None:
         try:
-            # past the table limit the modulus search alone can take minutes
-            check_table_degree(args.m)
             modulus = _hex(make_field(args.m, getattr(args, "modulus", None)).modulus)
         except ValueError:
             pass  # no field of this degree, or none built: the envelope says null

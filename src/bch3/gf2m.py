@@ -19,9 +19,9 @@ half-width tables filled by xor-ing basis products over subsets, the
 way trace_mul_table is filled.  It builds the per-field log/antilog
 tables (log_tables), and every per-element power table (power_table,
 inverse_table) is one lookup into them, so no per-field setup loops over
-the q elements in Python.  Every per-field table grows from log_tables
-or trace_mul_table, and both refuse degrees above TABLE_MAX_M
-(check_table_degree) before allocating anything of size q.
+the q elements in Python.  No FieldSpec of degree above TABLE_MAX_M
+exists (make_field refuses one before its modulus search), so the cap
+bounds every field the package builds and every table grown from it.
 
 Hex strings ("0x25" for x^5 + x^2 + 1) are the external encoding of both
 elements and moduli.
@@ -34,11 +34,11 @@ from functools import lru_cache
 
 import numpy as np
 
-# Largest degree whose per-field tables are built.  Cold through the CLI
-# on a 2-core Xeon, `table --m 21` takes 1.2 s at 217 MB peak RSS and
-# `table --m 23` 3.8-4.0 s at 716 MB.  Every table is q-sized, so each odd
-# step of m multiplies the peak above the interpreter's 35 MB by about 4
-# (3.7 from m = 21 to 23), and m = 25 would take about 2.8 GB.
+# Largest degree of any field the package builds.  Its per-field tables are
+# q-sized: cold through the CLI on a 2-core Xeon, `table --m 21` takes 1.2 s
+# at 217 MB peak RSS and `table --m 23` 3.8-4.0 s at 716 MB, each odd step
+# of m multiplies the peak above the interpreter's 35 MB by about 4 (3.7
+# from m = 21 to 23), and m = 25 would take about 2.8 GB.
 TABLE_MAX_M = 23
 
 
@@ -72,6 +72,14 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
+def _check_degree(m: int) -> None:
+    """Refuse a degree outside 2 <= m <= TABLE_MAX_M."""
+    if m < 2:
+        raise ValueError(f"extension degree must be >= 2, got {m}")
+    if m > TABLE_MAX_M:
+        raise ValueError(f"m={m} is too large for the per-field tables (limit m <= {TABLE_MAX_M})")
+
+
 @lru_cache(maxsize=None)
 def find_default_modulus(m: int) -> int:
     """Smallest integer encoding of a monic irreducible of degree m."""
@@ -97,8 +105,9 @@ class FieldSpec:
     trace_mask: int = dc_field(init=False)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"extension degree must be >= 2, got {self.m}")
+        _check_degree(self.m)
+        if self.modulus < 0:  # poly_mod never ends on a negative int
+            raise ValueError(f"modulus {self.modulus:#x} is negative")
         if poly_degree(self.modulus) != self.m:
             raise ValueError(
                 f"modulus 0x{self.modulus:x} has degree {poly_degree(self.modulus)}, expected {self.m}"
@@ -183,6 +192,7 @@ class FieldSpec:
 def make_field(m: int, modulus: int | None = None) -> FieldSpec:
     """Validated FieldSpec; picks the default modulus when none is given."""
     if modulus is None:  # through the cache, so both spellings share one object
+        _check_degree(m)  # past the cap the trial-division search runs for minutes
         return make_field(m, find_default_modulus(m))
     return FieldSpec(m, modulus)
 
@@ -205,13 +215,6 @@ def _prime_factors(n: int) -> list[int]:
 def _readonly(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
-
-
-def check_table_degree(m: int) -> None:
-    """Refuse a degree whose per-field tables are not built, before any
-    field of that degree is constructed."""
-    if m > TABLE_MAX_M:
-        raise ValueError(f"m={m} is too large for the per-field tables (limit m <= {TABLE_MAX_M})")
 
 
 def _span_table(basis: list[int]) -> np.ndarray:
@@ -248,7 +251,6 @@ def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     exp is filled by doubling, exp[k:2k] = exp[:k] * g^k, in log2(q)
     passes of mul_const.
     """
-    check_table_degree(field.m)
     n = field.q - 1
     primes = _prime_factors(n)
     g = next(g for g in range(2, field.q) if all(field.pow(g, n // p) != 1 for p in primes))
@@ -286,7 +288,6 @@ def trace_mul_table(field: FieldSpec) -> np.ndarray:
     Bit j of T[u] is trace(x^j * u); linearity in u lets the whole table
     be filled by xor-ing basis masks over subsets.
     """
-    check_table_degree(field.m)
     m = field.m
     powers = [1]
     for _ in range(2 * m - 2):

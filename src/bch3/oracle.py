@@ -107,9 +107,6 @@ class CoveringRadiusReport:
     rho: int
     reached_at_weight: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "rho": self.rho, "reached_at_weight": list(self.reached_at_weight)}
-
 
 def _f2_rank(vectors) -> int:
     """Rank of a set of bit vectors over F_2: one elimination pass per

@@ -1,5 +1,10 @@
 import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,10 +143,85 @@ class TestCommands:
         assert report["payload"]["rho"] == 5
         assert sum(report["payload"]["reached_at_weight"]) == 1 << 10
 
+    def test_covering_radius_json_shape(self, capsys):
+        _, report = run_json(capsys, "covering-radius", "--m", "4")
+        payload = report["payload"]
+        assert payload["m"] == 4 and payload["rho"] == 5
+        assert payload["reached_at_weight"] == list(cli.oracle.covering_radius(4).reached_at_weight)
+        assert sum(payload["reached_at_weight"][:2]) == 16
+
     def test_covering_radius_m8(self, capsys):
         code, report = run_json(capsys, "covering-radius", "--m", "8")
         assert code == 0
         assert report["payload"]["rho"] == 5
+
+
+# the two trace classes of `traces --m 5 --b 0x0`, as JSON and as TSV rows
+TRACES_M5_B0 = [
+    '{"tr_a": 0, "b": "0x0", "lambda": "0x1", "j_invariant": "0x1", '
+    '"n": [20, 20, 10, 11, 11, 11, 10], "t1": -8, "t3": 11, "t5": 9, "tg": 9, "t_combined": 33}',
+    '{"tr_a": 1, "b": "0x0", "lambda": "0x1", "j_invariant": "0x1", '
+    '"n": [11, 11, 21, 11, 11, 11, 21], "t1": 8, "t3": -11, "t5": 9, "tg": 9, "t_combined": 21}',
+]
+TRACES_M5_B0_TSV = [
+    "tr_a\t0\nb\t0x0\nlambda\t0x1\nj_invariant\t0x1\nn\t20,20,10,11,11,11,10\n"
+    "t1\t-8\nt3\t11\nt5\t9\ntg\t9\nt_combined\t33\n",
+    "tr_a\t1\nb\t0x0\nlambda\t0x1\nj_invariant\t0x1\nn\t11,11,21,11,11,11,21\n"
+    "t1\t8\nt3\t-11\nt5\t9\ntg\t9\nt_combined\t21\n",
+]
+
+
+def _prefixed(prefix, rows):
+    return "".join(f"{prefix}.{line}\n" for line in rows.splitlines())
+
+
+class TestPayloadBytes:
+    # the exact text of the payloads rendered from report fields, key order
+    # and TSV flattening included; elapsed_s is masked
+    CASES = {
+        "traces": (
+            ["traces", "--m", "5", "--b", "0x0"],
+            "traces", 5, "0x25",
+            f'{{"tr_a_0": {TRACES_M5_B0[0]}, "tr_a_1": {TRACES_M5_B0[1]}}}',
+            _prefixed("tr_a_0", TRACES_M5_B0_TSV[0]) + _prefixed("tr_a_1", TRACES_M5_B0_TSV[1]),
+        ),
+        "traces-tr-a-1": (
+            ["traces", "--m", "5", "--b", "0x0", "--tr-a", "1"],
+            "traces", 5, "0x25",
+            TRACES_M5_B0[1],
+            TRACES_M5_B0_TSV[1],
+        ),
+        "bounds": (
+            ["bounds", "--m", "11"],
+            "bounds", 11, "0x805",
+            '{"q": 2048, "weil": [36.125, 134.125], "refined_even": [50, 120], '
+            '"heuristic_even": [64, 108]}',
+            "q\t2048\nweil\t36.125,134.125\nrefined_even\t50,120\nheuristic_even\t64,108\n",
+        ),
+        "covering-radius": (
+            ["covering-radius", "--m", "4"],
+            "covering-radius", 4, "0x13",
+            '{"m": 4, "rho": 5, "reached_at_weight": [1, 15, 105, 455, 420, 28]}',
+            "m\t4\nrho\t5\nreached_at_weight\t1,15,105,455,420,28\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exact_text(self, capsys, case, fmt):
+        argv, command, m, modulus, payload, rows = self.CASES[case]
+        code, out = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        if fmt == "json":
+            out = re.sub(r'"elapsed_s": [^,]+,', '"elapsed_s": X,', out)
+            expected = (
+                f'{{"command": "{command}", "m": {m}, "modulus": "{modulus}", '
+                f'"elapsed_s": X, "payload": {payload}}}\n'
+            )
+        else:
+            out = re.sub(r"\nelapsed_s\t[^\n]+\n", "\nelapsed_s\tX\n", out)
+            expected = f"command\t{command}\nm\t{m}\nmodulus\t{modulus}\nelapsed_s\tX\n{rows}"
+        assert out == expected
 
 
 class TestHexRoundTrip:
@@ -309,6 +389,39 @@ class TestFormatsAndErrors:
 
     def test_bad_modulus_exit_one(self, capsys):
         assert cli.main(["field", "--m", "5", "--modulus", "0x3f"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (["nab", "--m", "5", "--tr-a", "0"], "--b", "-0x1"),
+            (["nab", "--m", "5", "--b", "0x0"], "--a", "-0x3"),
+            (["traces", "--m", "5"], "--b", "-0x1"),
+            (["split", "--m", "5", "--subset", "f3"], "--b", "-0x2"),
+        ],
+        ids=["nab-b", "nab-a", "traces-b", "split-b"],
+    )
+    def test_negative_hex_is_a_usage_error(self, capsys, argv, flag, text):
+        # int(text, 16) takes a sign, and no element has one: a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"{flag}={text}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: not a hex element: '{text}'\n")
+
+    def test_negative_modulus_process_exits_two(self):
+        # in a fresh process with a timeout: on a negative modulus the
+        # trial division in is_irreducible would never end
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "bch3.cli", "field", "--m", "5", "--modulus=-0x25"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert [line.startswith("usage: ") for line in lines] == [True, False]
+        assert lines[1] == "bch3 field: error: argument --modulus: not a hex element: '-0x25'"
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -225,7 +225,7 @@ class TestSecondMoment:
     @pytest.mark.parametrize("m", [15, 17, 19])
     def test_beyond_the_paper(self, m):
         # no oracle reaches these m: distribution returns only if the
-        # lattice, totals, both moments and the interval all pass
+        # lattice, both moments and the interval all pass
         assert sum(distribution(m).normalized.values()) == 2 * ((1 << m) - 1)
 
     def test_heuristic_misses_recorded_in_doc(self):

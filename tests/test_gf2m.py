@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bch3 import gf2m
 from bch3.gf2m import (
     TABLE_MAX_M,
+    FieldSpec,
     find_default_modulus,
     inverse_table,
     is_irreducible,
@@ -50,6 +52,46 @@ class TestConstruction:
     def test_small_degree_rejected(self):
         with pytest.raises(ValueError):
             make_field(1)
+
+    def test_negative_modulus_rejected(self):
+        # -0x25 has degree 5 and an odd constant term, and the trial
+        # division of a negative int never ends
+        with pytest.raises(ValueError, match="negative"):
+            FieldSpec(5, -0x25)
+
+    def test_make_field_refuses_past_the_cap_before_the_search(self, monkeypatch):
+        # no field past the cap exists, so no per-field table past it either
+        searched = []
+        search = gf2m.find_default_modulus
+
+        def spy(m):
+            searched.append(m)
+            return search(m)
+
+        monkeypatch.setattr(gf2m, "find_default_modulus", spy)
+        with pytest.raises(ValueError, match="too large for the per-field tables"):
+            make_field(TABLE_MAX_M + 1)
+        assert searched == []
+        # the control, past the cache so the search runs even when an
+        # earlier test built this field: at the cap the field is built
+        assert make_field.__wrapped__(TABLE_MAX_M).m == TABLE_MAX_M
+        assert searched == [TABLE_MAX_M]
+
+    def test_fieldspec_refuses_past_the_cap_before_irreducibility(self, monkeypatch):
+        tested = []
+        irreducible = gf2m.is_irreducible
+
+        def spy(p):
+            tested.append(p)
+            return irreducible(p)
+
+        modulus = find_default_modulus(TABLE_MAX_M)
+        monkeypatch.setattr(gf2m, "is_irreducible", spy)
+        with pytest.raises(ValueError, match="too large for the per-field tables"):
+            FieldSpec(TABLE_MAX_M + 2, (1 << (TABLE_MAX_M + 2)) | 0b1001)
+        assert tested == []
+        assert FieldSpec(TABLE_MAX_M, modulus).m == TABLE_MAX_M  # the control
+        assert tested == [modulus]
 
     @pytest.mark.parametrize("m,expected", [(4, 0x13), (5, 0x25), (13, 0x201B)])
     def test_default_modulus(self, m, expected):
@@ -223,13 +265,6 @@ class TestArrayKernel:
         assert power_table(f5, f5.q - 1).tolist() == [0] + [1] * (f5.q - 1)
         with pytest.raises(ValueError):
             power_table(f5, -1)
-
-    @pytest.mark.parametrize("root", [log_tables, trace_mul_table])
-    def test_tables_refuse_degrees_past_the_limit(self, root):
-        # every per-field table grows from these two; each refuses before
-        # allocating anything of size q
-        with pytest.raises(ValueError, match="too large for the per-field tables"):
-            root(make_field(TABLE_MAX_M + 2))
 
     def test_tables_are_read_only(self, f5):
         with pytest.raises(ValueError):

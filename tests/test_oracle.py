@@ -238,13 +238,6 @@ class TestCoveringRadius:
         report = covering_radius(4)
         assert sum(report.reached_at_weight) == 1 << 10
 
-    def test_json_shape(self):
-        report = covering_radius(4)
-        payload = report.to_json_dict()
-        assert payload["m"] == 4 and payload["rho"] == 5
-        assert payload["reached_at_weight"] == list(report.reached_at_weight)
-        assert sum(payload["reached_at_weight"][:2]) == 16
-
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_layers_match_full_group_bfs(self, m):
         # every layer, not only the radius: the orbit BFS against the
