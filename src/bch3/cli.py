@@ -4,8 +4,9 @@ Each run prints a single report to stdout: JSON by default, TSV with
 --format tsv (tabs, no quoting, LF endings).  The envelope carries the
 command name, field parameters, and wall time; payloads are documented by
 the schemas under docs/schemas/.  Exit status: 0 on success, 1 on domain
-errors (degenerate parameters, unsupported degree) and failed internal
-checks, which print one error line and no traceback, 2 on usage errors.
+errors (degenerate parameters, unsupported degree), failed internal
+checks, out of memory and an unreadable --gamma-file, each of which main
+alone prints as one error line with no traceback, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -73,11 +74,7 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_gamma(args) -> dict:
-    try:
-        gamma = coset.load_gamma(args.gamma_file)
-    except OSError as exc:
-        raise ValueError(f"cannot read --gamma-file: {exc}") from exc
-    report = coset.gamma_report(args.m, gamma)
+    report = coset.gamma_report(args.m, coset.load_gamma(args.gamma_file))
     residual_nonzero = {str(l): r for l, r in report.residual.items() if r}
     missing = [coset.GAMMA_BASE + 2 * l for l, c in report.histogram.items() if c == 0]
     return {
@@ -171,19 +168,6 @@ def _emit(report: dict, fmt: str) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-_COMMANDS = {
-    "field": _cmd_field,
-    "nab": _cmd_nab,
-    "table": _cmd_table,
-    "bounds": _cmd_bounds,
-    "gamma": _cmd_gamma,
-    "traces": _cmd_traces,
-    "split": _cmd_split,
-    "verify": _cmd_verify,
-    "covering-radius": _cmd_covering_radius,
-}
-
-
 @lru_cache(maxsize=None)  # one parser per process: building it costs more than a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -193,59 +177,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, modulus=True, **kwargs):
+    def add(name, handler, modulus=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
         p.add_argument("--m", type=int, required=True)
         if modulus:
             p.add_argument("--modulus", type=_parse_element, default=None)
         return p
 
-    add("field", help="validate and print a field specification")
+    add("field", _cmd_field, help="validate and print a field specification")
 
-    p = add("nab", help="the weight-4 invariant for one parameter pair")
+    p = add("nab", _cmd_nab, help="the weight-4 invariant for one parameter pair")
     parameterization = p.add_mutually_exclusive_group(required=True)
     parameterization.add_argument("--tr-a", type=int, choices=(0, 1), default=None)
     parameterization.add_argument("--a", type=_parse_element, default=None)
     p.add_argument("--b", type=_parse_element, required=True)
 
-    add("table", help="full value distribution for one field size")
+    add("table", _cmd_table, help="full value distribution for one field size")
 
-    add("bounds", modulus=False, help="value enclosures for one field size")
+    add("bounds", _cmd_bounds, modulus=False, help="value enclosures for one field size")
 
-    p = add("gamma", modulus=False, help="compare the m=13 histogram against the reference profile")
+    p = add("gamma", _cmd_gamma, modulus=False, help="compare the m=13 histogram against the reference profile")
     p.add_argument("--gamma-file", default=None)
 
-    p = add("traces", help="fibre counts and Frobenius traces for one parameter")
+    p = add("traces", _cmd_traces, help="fibre counts and Frobenius traces for one parameter")
     p.add_argument("--b", type=_parse_element, required=True)
     p.add_argument("--tr-a", type=int, choices=(0, 1), default=None)
 
-    p = add("split", help="complete-splitting pair count for a cover subset")
+    p = add("split", _cmd_split, help="complete-splitting pair count for a cover subset")
     p.add_argument("--b", type=_parse_element, required=True)
     p.add_argument("--subset", choices=sorted(curves.SUBSETS), required=True)
     p.add_argument("--tr-a", type=int, choices=(0, 1), default=0)
 
-    p = add("verify", help="cross-check the closed form against the exhaustive oracle")
+    p = add("verify", _cmd_verify, help="cross-check the closed form against the exhaustive oracle")
     # every run is exhaustive; the flag is accepted for existing callers
     p.add_argument("--exhaustive", action="store_true")
 
-    bfs_range = f"4 <= m <= {oracle.BFS_MAX_M}"
-    add("covering-radius", modulus=False, help=f"exact covering radius by syndrome BFS ({bfs_range})")
+    bfs_help = f"exact covering radius by syndrome BFS (4 <= m <= {oracle.BFS_MAX_M})"
+    add("covering-radius", _cmd_covering_radius, modulus=False, help=bfs_help)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
     start = time.perf_counter()
     try:
-        payload = handler(args)
+        payload = args.handler(args)
         failed = False
     except DomainFailure as exc:
         payload = exc.payload
         failed = True
-    except (ValueError, ZeroDivisionError, AssertionError) as exc:
-        # AssertionError: an internal consistency check failed
+    except (ValueError, AssertionError, OSError, MemoryError) as exc:
+        # AssertionError: an internal consistency check failed; OSError: an
+        # unreadable input file; MemoryError: a field too large for this host
         sys.stderr.write(f"error: {exc}\n")
         return 1
     elapsed = time.perf_counter() - start

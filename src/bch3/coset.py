@@ -236,7 +236,6 @@ class GammaReport:
     histogram and residual are keyed by l with value = 290 + 2l."""
 
     histogram: dict[int, int]
-    gamma: tuple[int, ...]
     residual: dict[int, int]
 
 
@@ -273,7 +272,7 @@ def gamma_report(m: int, gamma, table: DistributionTable | None = None) -> Gamma
             raise ValueError(f"histogram key {value} outside the expected window")
         histogram[(value - GAMMA_BASE) // 2] = count
     residual = {ell: histogram[ell] - 13 * gamma[ell] for ell in range(GAMMA_LEN)}
-    return GammaReport(histogram=histogram, gamma=gamma, residual=residual)
+    return GammaReport(histogram=histogram, residual=residual)
 
 
 def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:

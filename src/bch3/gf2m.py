@@ -168,7 +168,7 @@ class FieldSpec:
         """Multiplicative inverse; inverting zero is a domain error."""
         self._check(a)
         if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
+            raise ValueError("zero has no inverse")
         return self.pow(a, self.q - 2)
 
     def trace(self, a: int) -> int:

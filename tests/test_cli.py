@@ -495,7 +495,19 @@ class TestFormatsAndErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(missing) in lines[0]
         assert "Traceback" not in captured.err
+
+    def test_out_of_memory_exit_one(self, capsys, monkeypatch):
+        # numpy raises a MemoryError subclass when a table does not fit
+        def distribution(m, modulus=None):
+            raise MemoryError("Unable to allocate 96.0 MiB for an array")
+
+        monkeypatch.setattr(cli.coset, "distribution", distribution)
+        assert cli.main(["table", "--m", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 96.0 MiB for an array\n"
 
     def test_covering_radius_beyond_range_exit_one(self, capsys):
         assert cli.main(["covering-radius", "--m", str(cli.oracle.BFS_MAX_M + 1)]) == 1

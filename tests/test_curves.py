@@ -18,7 +18,7 @@ from bch3.curves import (
     split_count,
     split_interval,
 )
-from bch3.gf2m import inverse_table, make_field
+from bch3.gf2m import inverse_table, make_field, power_table
 from conftest import (
     g_count_slow,
     mul_array,
@@ -394,3 +394,41 @@ class TestExponentialSums:
             for c in (0, 1):
                 zeros = n_count(field, 1, lam, field.trace(c)) + (1 - field.trace(c))
                 assert field.q - 2 * zeros in allowed
+
+
+class TestRowIdentities:
+    """Rows n1 and n3 of the count table against proven facts about their
+    character sums S_i = 2*n_i - (q - 1), at every lam: Carlitz's closed
+    form for row n1 and the Kloosterman congruence for row n3
+    (docs/count_table.md, "Row identities").  Neither reference reads a
+    transform."""
+
+    @staticmethod
+    def trace(field, v):
+        return (np.bitwise_count(v & field.trace_mask) & 1).astype(np.int64)
+
+    @pytest.mark.parametrize("m", range(5, 22, 2))
+    def test_row_n1_is_carlitz_sum(self, m):
+        field = make_field(m)
+        q = field.q
+        xs = np.arange(q, dtype=np.int64)
+        lam = xs[1:]
+        # 1 + S1(lam) = sum over y of e(y^3 + c*y), with c^3 = lam^2
+        c = power_table(field, 2 * pow(3, -1, q - 1) % (q - 1))[lam]
+        # e(g^3 + g) at each u = g^4 + g; the roots g and g + 1 share u
+        u = power_table(field, 4) ^ xs
+        e_g = 1 - 2 * self.trace(field, power_table(field, 3) ^ xs)
+        sign = np.zeros(q, dtype=np.int64)
+        sign[u] = e_g
+        assert np.array_equal(sign[u], e_g)
+        jacobi = 1 if m % 8 in (1, 7) else -1  # (2/m)
+        want = np.where(self.trace(field, c) == 1, jacobi * (1 << (m + 1) // 2) * sign[c ^ 1], 0)
+        s1 = 2 * curves._count_table(field)[0, 1:].astype(np.int64) - (q - 1)
+        assert np.array_equal(1 + s1, want)
+
+    @pytest.mark.parametrize("m", range(5, 22, 2))
+    def test_row_n3_kloosterman_congruence(self, m):
+        field = make_field(m)
+        lam = np.arange(1, field.q, dtype=np.int64)
+        s3 = 2 * curves._count_table(field)[1, 1:].astype(np.int64) - (field.q - 1)
+        assert np.array_equal(s3 % 8, np.where(self.trace(field, lam) == 1, 3, 7))

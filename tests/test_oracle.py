@@ -292,10 +292,10 @@ class TestCoveringRadius:
     @pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
     def test_layers_from_the_invariant_table(self, m):
         # at odd m the layers follow from Z, the number of (class, lam != 0)
-        # pairs with N = 0 (ROADMAP.md derives it): on s1 != 0 depth 3 or 4
-        # where N > 0 and 5 elsewhere past lam = 0's short leaders, on
-        # s1 = 0 (q - 1)(q - 2)/6 states of depth 3.  The BFS and the count
-        # table share no code
+        # pairs with N = 0 (docs/covering_radius_bfs.md derives it): on
+        # s1 != 0 depth 3 or 4 where N > 0 and 5 elsewhere past lam = 0's
+        # short leaders, on s1 = 0 (q - 1)(q - 2)/6 states of depth 3.  The
+        # BFS and the count table share no code
         q = 1 << m
         layers = RECORDED.get(m) or cached_report(m).reached_at_weight
         zero = coset.distribution(m).normalized.get(0, 0)
