@@ -123,7 +123,7 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     # spread over q/2 values of A per class, all land on lam != 0
     if 12 * sum(value * count for value, count in merged.items()) != (q - 2) * (q - 4):
         raise AssertionError("first moment of N must be (q - 2)(q - 4)/12")
-    lo, hi = refined_even_interval(m)
+    lo, hi = bounds(m).refined_even
     if min(merged) < lo or max(merged) > hi:
         raise AssertionError("a value escaped the proven interval")
     pairs = sum(value * (value - 1) * count for value, count in merged.items())
@@ -170,14 +170,6 @@ class BoundReport:
     heuristic_even: tuple[int, int]
 
 
-def weil_interval(m: int) -> tuple[float, float]:
-    """Genus-13 point-count bound scaled to the invariant, clamped at 0."""
-    require_odd(m)
-    q = 1 << m
-    t = math.isqrt(4 * q)
-    return max((q - 11 - 13 * t) / 24, 0.0), (q + 1 + 13 * t) / 24
-
-
 def _even_floor(num: int, den: int) -> int:
     return 2 * (num // (2 * den))
 
@@ -186,47 +178,33 @@ def _even_ceil(num: int, den: int) -> int:
     return -2 * (-num // (2 * den))
 
 
-def refined_even_interval(m: int) -> tuple[int, int]:
-    """Even integers admissible under the refined trace bound: the
-    smallest even above the lower endpoint (clamped at 0) through the
-    largest even below the upper one.  Exact integer arithmetic."""
-    require_odd(m)
-    q = 1 << m
-    t = math.isqrt(4 * q)
-    s = 1 << ((m + 3) // 2)  # 2*sqrt(2q), exact for odd m
-    lo = max(_even_ceil(q - 11 - s - 8 * t, 24), 0)
-    hi = _even_floor(q + 1 + s + 8 * t, 24)
-    return lo, hi
+def bounds(m: int) -> BoundReport:
+    """All three enclosures for 2^m, in exact integer arithmetic from q,
+    t = floor(2*sqrt(q)) and s = 2*sqrt(2q).  Past m = 1027 the Weil
+    endpoints overflow a double.
 
-
-def heuristic_even_interval(m: int) -> tuple[int, int]:
-    """Smallest even-endpoint interval containing the heuristic enclosure
+    weil: the genus-13 point-count bound scaled to the invariant, clamped
+    at 0.  refined_even: the even integers admissible under the refined
+    trace bound, from the smallest even above the lower endpoint (clamped
+    at 0) through the largest even below the upper one.  heuristic_even:
+    the smallest even-endpoint interval containing the heuristic enclosure
     [(q - 4t - s + 4 + 4*sqrt(2))/24, (q + 4t + s + 14 + 4*sqrt(2))/24].
-
     4*sqrt(2) = sqrt(32) is irrational with 5 < sqrt(32) < 6, so for an
     integer c, floor(c + sqrt(32)) = c + 5 and ceil(c + sqrt(32)) = c + 6;
-    the rounding is exact integer arithmetic for every m.
+    the rounding is exact for every m.
     """
-    require_odd(m)
-    q = 1 << m
-    t = math.isqrt(4 * q)
-    s = 1 << ((m + 3) // 2)
-    lo = _even_floor(q - 4 * t - s + 4 + 5, 24)
-    hi = _even_ceil(q + 4 * t + s + 14 + 6, 24)
-    return max(lo, 0), hi
-
-
-def bounds(m: int) -> BoundReport:
-    """All three enclosures for 2^m.  Past m = 1027 the Weil endpoints
-    overflow a double."""
     require_odd(m)
     if not 3 <= m <= 1027:
         raise ValueError(f"bounds need 3 <= m <= 1027, got m={m}")
+    q, t, s = curves._root_forms(m)
     return BoundReport(
-        q=1 << m,
-        weil=weil_interval(m),
-        refined_even=refined_even_interval(m),
-        heuristic_even=heuristic_even_interval(m),
+        q=q,
+        weil=(max((q - 11 - 13 * t) / 24, 0.0), (q + 1 + 13 * t) / 24),
+        refined_even=(max(_even_ceil(q - 11 - s - 8 * t, 24), 0), _even_floor(q + 1 + s + 8 * t, 24)),
+        heuristic_even=(
+            max(_even_floor(q - 4 * t - s + 4 + 5, 24), 0),
+            _even_ceil(q + 4 * t + s + 14 + 6, 24),
+        ),
     )
 
 
@@ -287,7 +265,7 @@ def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:
     lam = np.arange(1, field.q)
     out: dict[int, int] = {}
     for cls in (0, 1):
-        t_combined = curves.traces_at(field, cls, lam)[-1]
+        t_combined = curves._traces_at(field, cls, lam)[-1]
         const = field.q + 1 - t_combined - 24 * invariants(field, cls)[lam ^ 1]
         if (const != const[0]).any():
             seen = sorted(set(const.tolist()))

@@ -194,6 +194,14 @@ def require_odd(m: int) -> None:
         raise ValueError(f"the pipeline requires odd extension degree, got m={m}")
 
 
+def _root_forms(m: int) -> tuple[int, int, int]:
+    """(q, t, s) for q = 2^m: t = floor(2*sqrt(q)) and s = 2*sqrt(2q),
+    exact for odd m.  Every enclosure of a count or of the invariant is
+    written in these three integers."""
+    q = 1 << m
+    return q, math.isqrt(4 * q), 1 << ((m + 3) // 2)
+
+
 def _offset(field: FieldSpec, trace_class_a: int) -> int:
     """Tr(A + 1) for normalized A: Tr(1) = 1 holds for odd m only."""
     require_odd(field.m)
@@ -215,9 +223,10 @@ def _rows(field: FieldSpec, trace_class_a: int, lam):
     return off, n1, n3, n5
 
 
-def traces_at(field: FieldSpec, trace_class_a: int, lam):
+def _traces_at(field: FieldSpec, trace_class_a: int, lam):
     """(n, t1, t3, t5, tg, t_combined) at one lam, or elementwise over an
-    array of nonzero lams, from the count table.
+    array of nonzero lams, from the count table.  lam is not checked:
+    both callers pass lam already validated.
 
     Boundary conventions: the cubic-polynomial cover contributes one point
     at infinity (t1 counts over F_q plus that point); the covers with
@@ -237,7 +246,7 @@ def traces_at(field: FieldSpec, trace_class_a: int, lam):
 
 def curve_traces(params: CurveParams) -> TraceProfile:
     """Fibre counts and Frobenius traces of the seven Jacobian factors."""
-    n, *traces = traces_at(params.field, params.trace_class_a, params.lam)
+    n, *traces = _traces_at(params.field, params.trace_class_a, params.lam)
     return TraceProfile(tuple(n), *traces)
 
 
@@ -281,9 +290,7 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
     the small-q formulas dip below it.
     """
     off = _offset(field, trace_class_a)
-    q = field.q
-    t = math.isqrt(4 * q)
-    s = 1 << ((field.m + 3) // 2)  # 2*sqrt(2q), exact for odd m
+    q, t, s = _root_forms(field.m)
     if subset == "f1f2":
         lo, hi = (q - 7 + 8 * off - 3 * t - s) / 8, (q - 7 + 8 * off + 3 * t + s) / 8
     elif subset == "f3":

@@ -20,7 +20,7 @@ way trace_mul_table is filled.  It builds the per-field log/antilog
 tables (log_tables), and every per-element power table (power_table,
 inverse_table) is one lookup into them, so no per-field setup loops over
 the q elements in Python.  No FieldSpec of degree above TABLE_MAX_M
-exists (make_field refuses one before its modulus search), so the cap
+exists (the modulus search refuses one before it starts), so the cap
 bounds every field the package builds and every table grown from it.
 
 Hex strings ("0x25" for x^5 + x^2 + 1) are the external encoding of both
@@ -83,8 +83,7 @@ def _check_degree(m: int) -> None:
 @lru_cache(maxsize=None)
 def find_default_modulus(m: int) -> int:
     """Smallest integer encoding of a monic irreducible of degree m."""
-    if m < 2:
-        raise ValueError(f"extension degree must be >= 2, got {m}")
+    _check_degree(m)  # past the cap the trial-division search runs for minutes
     for p in range(1 << m, 1 << (m + 1)):
         if is_irreducible(p):
             return p
@@ -192,7 +191,7 @@ class FieldSpec:
 def make_field(m: int, modulus: int | None = None) -> FieldSpec:
     """Validated FieldSpec; picks the default modulus when none is given."""
     if modulus is None:  # through the cache, so both spellings share one object
-        _check_degree(m)  # past the cap the trial-division search runs for minutes
+        _check_degree(m)  # a refused m never enters the search
         return make_field(m, find_default_modulus(m))
     return FieldSpec(m, modulus)
 

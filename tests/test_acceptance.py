@@ -129,7 +129,7 @@ def test_criterion_9_property_suite():
             q = field.q
             bound = math.isqrt(4 * q)
             root2q = 1 << ((m + 1) // 2)
-            lo, hi = coset.refined_even_interval(m)
+            lo, hi = coset.bounds(m).refined_even
             t3_seen = set()
             # the counts the table reads from the rows of n1, n3 and n5:
             # every lam at m = 5, eight seeded lam at m = 7

@@ -18,10 +18,7 @@ from bch3.coset import (
     dual_weight_distribution,
     flat_pairs,
     gamma_report,
-    heuristic_even_interval,
     load_gamma,
-    refined_even_interval,
-    weil_interval,
     weight8_count,
 )
 from bch3.gf2m import make_field
@@ -33,7 +30,7 @@ TABLE_M9 = dict(zip(range(12, 33, 2), [18, 21, 117, 180, 148, 195, 199, 81, 36, 
 SECOND_MOMENT_DOC = Path(__file__).parents[1] / "docs" / "second_moment.md"
 # sum N(N - 1) over both classes and every lam != 0
 PAIRS = {5: 70, 7: 6342, 9: 449990, 11: 29565382, 13: 1904685510}
-# values outside heuristic_even_interval(m), of 2(q - 1); m = 21 and 23
+# values outside bounds(m).heuristic_even, of 2(q - 1); m = 21 and 23
 # from `bch3 table`, too large for the suite
 HEURISTIC_MISSES = {13: 78, 15: 394, 17: 1802, 19: 6974, 21: 29431, 23: 122889}
 
@@ -48,7 +45,7 @@ class TestNOf:
             N_of(f4, 0, 0)
 
     def test_values_at_m5(self, f5):
-        lo, hi = refined_even_interval(5)
+        lo, hi = bounds(5).refined_even
         multiset = Counter()
         for cls in (0, 1):
             for b in range(f5.q):
@@ -158,7 +155,7 @@ class TestDistribution:
 
     def test_keys_even_and_bounded(self):
         table = distribution(9)
-        lo, hi = refined_even_interval(9)
+        lo, hi = bounds(9).refined_even
         for key in table.normalized:
             assert key % 2 == 0 and lo <= key <= hi
 
@@ -234,7 +231,7 @@ class TestSecondMoment:
             total = 2 * ((1 << m) - 1)
             assert f"m = {m}: {outside} of {total} ({100 * outside / total:.2f}%)" in text
         for m in (13, 15, 17, 19):
-            lo, hi = heuristic_even_interval(m)
+            lo, hi = bounds(m).heuristic_even
             values = distribution(m).normalized
             assert sum(c for v, c in values.items() if not lo <= v <= hi) == HEURISTIC_MISSES[m]
 
@@ -252,8 +249,8 @@ class TestBounds:
 
     @pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
     def test_weil_contains_refined(self, m):
-        lo, hi = weil_interval(m)
-        rlo, rhi = refined_even_interval(m)
+        lo, hi = bounds(m).weil
+        rlo, rhi = bounds(m).refined_even
         assert lo <= rlo and rhi <= hi
         assert lo >= 0.0
 
@@ -284,7 +281,7 @@ class TestBounds:
     def test_rounding_never_ambiguous(self, m):
         # exact integer endpoints against the 50-digit irrational enclosure:
         # the smallest even-endpoint interval holding it, clamped at 0
-        lo, hi = heuristic_even_interval(m)
+        lo, hi = bounds(m).heuristic_even
         real_lo, real_hi = self.heuristic_endpoints(m)
         assert lo % 2 == 0 and hi % 2 == 0
         assert lo <= real_lo < lo + 2 or (lo == 0 and real_lo < 0)

@@ -323,7 +323,7 @@ class TestSplitCounts:
         # trace_class_a is Tr(A) for normalized A, so only 0 and 1 are classes
         bad_class = "trace_class_a must be 0 or 1"
         with pytest.raises(ValueError, match=bad_class):
-            curves.traces_at(f5, cls, 3)
+            curves._traces_at(f5, cls, 3)
         with pytest.raises(ValueError, match=bad_class):
             split_count("f3", dataclasses.replace(curve_params(f5, 0, 2), trace_class_a=cls))
         with pytest.raises(ValueError, match=bad_class):
@@ -399,8 +399,8 @@ class TestExponentialSums:
 class TestRowIdentities:
     """Rows n1 and n3 of the count table against proven facts about their
     character sums S_i = 2*n_i - (q - 1), at every lam: Carlitz's closed
-    form for row n1 and the Kloosterman congruence for row n3
-    (docs/count_table.md, "Row identities").  Neither reference reads a
+    form for row n1, and the Kloosterman congruence and fourth moment for
+    row n3 (docs/count_table.md, "Row identities").  No reference reads a
     transform."""
 
     @staticmethod
@@ -432,3 +432,14 @@ class TestRowIdentities:
         lam = np.arange(1, field.q, dtype=np.int64)
         s3 = 2 * curves._count_table(field)[1, 1:].astype(np.int64) - (field.q - 1)
         assert np.array_equal(s3 % 8, np.where(self.trace(field, lam) == 1, 3, 7))
+
+    @pytest.mark.parametrize("m", range(5, 22, 2))
+    def test_row_n3_fourth_moment(self, m):
+        # sum of S3^4 over lam != 0 is 2q^3 - 2q^2 - 3q - 1; a change of
+        # S3 by 8 keeps the parity and the congruence but not this sum.
+        # Summed in Python ints: the int64 sum overflows at m = 21.
+        q = 1 << m
+        s3 = 2 * curves._count_table(make_field(m))[1, 1:].astype(np.int64) - (q - 1)
+        values, counts = np.unique(s3, return_counts=True)
+        total = sum(int(v) ** 4 * int(c) for v, c in zip(values, counts))
+        assert total == 2 * q**3 - 2 * q**2 - 3 * q - 1

@@ -93,6 +93,22 @@ class TestConstruction:
         assert FieldSpec(TABLE_MAX_M, modulus).m == TABLE_MAX_M  # the control
         assert tested == [modulus]
 
+    def test_default_modulus_search_refuses_past_the_cap(self, monkeypatch):
+        # the exported search guards itself, not only behind make_field:
+        # its trial divisors grow as 2^(m/2)
+        tested = []
+
+        def spy(p):
+            tested.append(p)
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(gf2m, "is_irreducible", spy)
+        with pytest.raises(ValueError, match="too large for the per-field tables"):
+            find_default_modulus.__wrapped__(TABLE_MAX_M + 1)
+        with pytest.raises(ValueError, match="must be >= 2"):
+            find_default_modulus.__wrapped__(1)
+        assert tested == []
+
     @pytest.mark.parametrize("m,expected", [(4, 0x13), (5, 0x25), (13, 0x201B)])
     def test_default_modulus(self, m, expected):
         assert find_default_modulus(m) == expected

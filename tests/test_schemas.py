@@ -1,5 +1,6 @@
 """Every CLI payload must validate against its versioned schema."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -22,6 +23,12 @@ COMMANDS = {
     "verify": ["verify", "--m", "5", "--exhaustive"],
     "covering-radius": ["covering-radius", "--m", "4"],
 }
+
+
+def test_every_command_has_a_payload_case():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(COMMANDS) == set(sub.choices)
 
 
 def _registry() -> Registry:
