@@ -49,20 +49,17 @@ def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
 
 
 def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
-    """The invariant for normalized A (trace class only) and B = b."""
-    values = invariants(field, trace_class_a)
-    field._check(b)
-    if b == 1:
-        raise DegenerateLambdaError(
-            f"b=0x{b:x} gives lam=0: the coset family degenerates into twelve lines"
-        )
-    return int(values[b])
+    """The invariant for normalized A (trace class only) and B = b.
+
+    The degree, class and b are validated by curves._lam before the
+    invariant array is read or built."""
+    curves._lam(field, trace_class_a, b)
+    return int(invariants(field, trace_class_a)[b])
 
 
 def N_of_general(field: FieldSpec, a: int, b: int) -> int:
     """The invariant for arbitrary A: translate to the normalized form."""
     require_odd(field.m)  # before the elements, as for normalized A
-    field._check(a)
     lam = curves.lambda_of(field, a, b)
     if lam == 0:
         raise DegenerateLambdaError(
@@ -134,7 +131,9 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
 
 def dual_weight_distribution(m: int) -> dict[int, int]:
     """The dual code Tr(ax + bx^3 + cx^5) + e has weights 0, q, q/2, q/2 +- 2^((m-1)/2)
-    and q/2 +- 2^((m+1)/2) (Kasami 1969); the Pless moments give their frequencies."""
+    and q/2 +- 2^((m+1)/2) (Kasami 1969) at odd m only; the Pless moments give their
+    frequencies."""
+    require_odd(m)
     q = 1 << m
     s2, s4 = q**4 - q**2, 3 * q**5 - 3 * q**4  # sum W^2, sum W^4 over (a, b, c) != 0
     k2 = (s4 - 2 * q * s2) // (48 * q**2)  # Walsh value W = +-sqrt(8q)

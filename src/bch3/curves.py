@@ -42,10 +42,10 @@ class DegenerateLambdaError(ValueError):
 
 def lambda_of(field: FieldSpec, a: int, b: int) -> int:
     """The family invariant b + a^2 + a + 1, with a^2 read from the
-    square table."""
+    square table once a and then b are checked."""
+    field._check(a)  # before the table: a negative index would wrap
     field._check(b)
-    square = int(power_table(field, 2)[field._check(a)])  # checked: a negative index would wrap
-    return b ^ square ^ a ^ 1
+    return b ^ int(power_table(field, 2)[a]) ^ a ^ 1
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,7 @@ class CurveParams:
 
 def curve_params(field: FieldSpec, trace_class_a: int, b: int) -> CurveParams:
     """Validated CurveParams for normalized A (so lam = b + 1)."""
-    _offset(field, trace_class_a)
-    field._check(b)
-    lam = b ^ 1
-    if lam == 0:
-        raise DegenerateLambdaError(
-            f"b=0x{b:x} gives lam=0: the curve degenerates into twelve lines"
-        )
+    lam = _lam(field, trace_class_a, b)
     return CurveParams(field=field, trace_class_a=trace_class_a, b=b, lam=lam)
 
 
@@ -208,6 +202,18 @@ def _offset(field: FieldSpec, trace_class_a: int) -> int:
     if trace_class_a not in (0, 1):
         raise ValueError("trace_class_a must be 0 or 1")
     return trace_class_a ^ 1
+
+
+def _lam(field: FieldSpec, trace_class_a: int, b: int) -> int:
+    """lam = b + 1 for normalized A, validated before any table is read:
+    odd m and the trace class (_offset), then b, then lam != 0."""
+    _offset(field, trace_class_a)
+    lam = field._check(b) ^ 1
+    if lam == 0:
+        raise DegenerateLambdaError(
+            f"b=0x{b:x} gives lam=0: the curve degenerates into twelve lines"
+        )
+    return lam
 
 
 def _rows(field: FieldSpec, trace_class_a: int, lam):

@@ -26,9 +26,11 @@ _CHUNK = 1 << 14  # BFS neighbours, orbit members or table entries per numpy pas
 _SETS_CHUNK = 1 << 15  # base sets per block of the weight-4 oracle, at most: 256 KB int64 blocks
 
 
+@lru_cache(maxsize=None)
 def weight4_rows(field: FieldSpec, avals) -> np.ndarray:
     """rows[i, b] = number of 4-subsets of F_q with power sums (1, avals[i], b),
-    as a read-only (len(avals), q) int64 array.
+    as a read-only (len(avals), q) int64 array, cached per field and avals,
+    which is hashable: a tuple or a range.
 
     Counts over translations (see docs/weight4_oracle.md): a base set
     {0, x, y, z} with sum 1 and syndrome (s3, s5) shifted by t lands on
@@ -72,17 +74,9 @@ def weight4_rows(field: FieldSpec, avals) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=None)
-def weight4_row(field: FieldSpec, a: int) -> np.ndarray:
-    """row[b] = number of 4-subsets of F_q with power sums (1, a, b):
-    row a of weight4_rows, cached for brute_N."""
-    return weight4_rows(field, (a,))[0]
-
-
-@lru_cache(maxsize=None)
 def weight4_histogram(field: FieldSpec) -> np.ndarray:
-    """count[s3*q + s5] for every syndrome: all q rows of weight4_rows from
-    one enumeration, q^2 entries, so q <= 512 only."""
+    """count[s3*q + s5] for every syndrome: a flat view of the cached
+    weight4_rows(field, range(q)), q^2 entries, so q <= 512 only."""
     if field.q > 512:
         raise ValueError(f"q={field.q} is too large for the full histogram (limit 512)")
     return weight4_rows(field, range(field.q)).reshape(-1)
@@ -92,11 +86,11 @@ def brute_N(field: FieldSpec, a: int, b: int) -> int:
     """Number of 4-subsets of F_q with power sums (1, a, b), by enumeration.
 
     Defined for every (a, b); degenerate parameter choices simply count
-    solutions on the degenerate curve.
+    solutions on the degenerate curve.  b is checked before row a of
+    weight4_rows is read, and weight4_rows checks a before it enumerates.
     """
-    row = weight4_row(field, a)
     field._check(b)
-    return int(row[b])
+    return int(weight4_rows(field, (a,))[0, b])
 
 
 @dataclass(frozen=True)

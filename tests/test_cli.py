@@ -372,6 +372,21 @@ class TestFormatsAndErrors:
         assert f"m={m}" in lines[0]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("tr_a, b", [("0", "0x200"), ("1", "0x1")])
+    def test_nab_refuses_b_before_any_table(self, capsys, monkeypatch, tr_a, b):
+        # invariants is cached, and an earlier test may have filled it, so
+        # the count table's builder is patched too
+        def build(*args):
+            pytest.fail("a per-field table was built before b was checked")
+
+        monkeypatch.setattr(cli.coset, "invariants", build)
+        monkeypatch.setattr(cli.curves, "_count_table", build)
+        assert cli.main(["nab", "--m", "9", "--tr-a", tr_a, "--b", b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_out_of_range_b_is_named(self, capsys):
         # b is checked itself, not through lam = b + a^2 + a + 1 = 0x46
         assert cli.main(["nab", "--m", "5", "--a", "0x3", "--b", "0x40"]) == 1

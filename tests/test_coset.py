@@ -184,6 +184,13 @@ class TestSecondMoment:
     def test_dual_distribution_by_enumeration(self, m):
         assert dual_weight_distribution(m) == dual_weights_by_enumeration(make_field(m))
 
+    @pytest.mark.parametrize("fn", [dual_weight_distribution, weight8_count])
+    def test_even_m_refused(self, fn):
+        # Kasami's weights hold at odd m only: at m = 6 the formula gave no
+        # words of weight 16 or 48, where enumeration finds 252 of each
+        with pytest.raises(ValueError, match="odd extension degree, got m=6"):
+            fn(6)
+
     def test_weight8_count(self):
         # at m = 5 the extended code is self-dual: A_8 = B_8
         assert weight8_count(5) == dual_weight_distribution(5)[8] == 620
@@ -340,3 +347,45 @@ class TestCalibration:
                     continue
                 profile = curve_traces(curve_params(f5, cls, b))
                 assert q + 1 - profile.t_combined == 24 * N_of(f5, cls, b) + boundary[cls]
+
+
+def _refuse(*args, **kwargs):
+    raise LookupError("a per-field table was read before the input was checked")
+
+
+TABLES = [(coset, "invariants"), (curves, "_count_table")]
+SQUARE = [(curves, "power_table")]
+LAM0 = DegenerateLambdaError
+# id: (entry point, field degree, the other arguments, the builders it must
+# not reach, the error it must raise)
+REFUSALS = {
+    "lambda_of-bad-a": (curves.lambda_of, 5, (32, 0), SQUARE, ValueError),
+    "lambda_of-bad-b": (curves.lambda_of, 5, (0, 32), SQUARE, ValueError),
+    "curve_params-bad-b": (curve_params, 5, (0, 32), TABLES, ValueError),
+    "curve_params-b1": (curve_params, 5, (0, 1), TABLES, LAM0),
+    "curve_params-even-m": (curve_params, 6, (0, 0), TABLES, ValueError),
+    "n_count-bad-lam": (curves.n_count, 5, (1, 32, 0), TABLES, ValueError),
+    "n_count-lam0": (curves.n_count, 5, (1, 0, 0), TABLES, LAM0),
+    "g_count-bad-lam": (curves.g_count, 5, (32,), TABLES, ValueError),
+    "g_count-lam0": (curves.g_count, 5, (0,), TABLES, LAM0),
+    "N_of-bad-b": (N_of, 5, (0, 32), TABLES, ValueError),
+    "N_of-b1": (N_of, 5, (1, 1), TABLES, LAM0),
+    "N_of-even-m": (N_of, 6, (0, 0), TABLES, ValueError),
+    "N_of_general-bad-a": (N_of_general, 5, (32, 0), TABLES + SQUARE, ValueError),
+    "N_of_general-bad-b": (N_of_general, 5, (0, 32), TABLES + SQUARE, ValueError),
+    # lam = b + a^2 + a + 1 needs the square table, so only it is left open
+    "N_of_general-lam0": (N_of_general, 5, (0, 1), TABLES, LAM0),
+    # a row no earlier test reads, so no row cached by a test can hide the order
+    "brute_N-bad-b": (oracle.brute_N, 7, (0x55, 128), [(oracle, "weight4_rows")], ValueError),
+    "weight4_rows-a-q": (oracle.weight4_rows, 5, ((32,),), [(oracle, "power_table")], ValueError),
+}
+
+
+@pytest.mark.parametrize("fn, m, args, patched, error", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_input_checked_before_any_table(monkeypatch, fn, m, args, patched, error):
+    field = make_field(m)
+    for module, name in patched:
+        monkeypatch.setattr(module, name, _refuse)
+    with pytest.raises(ValueError) as info:
+        fn(field, *args)
+    assert type(info.value) is error
