@@ -58,14 +58,15 @@ def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
 
 
 def N_of_general(field: FieldSpec, a: int, b: int) -> int:
-    """The invariant for arbitrary A: translate to the normalized form."""
+    """The invariant for arbitrary A, translated to the normalized form:
+    odd m, a, b and lam != 0 are checked once, then B = lam + 1 is read."""
     require_odd(field.m)  # before the elements, as for normalized A
     lam = curves.lambda_of(field, a, b)
     if lam == 0:
         raise DegenerateLambdaError(
             f"a=0x{a:x}, b=0x{b:x} give lam=0: the coset family degenerates into twelve lines"
         )
-    return N_of(field, field.trace(a), lam ^ 1)
+    return int(invariants(field, field.trace(a))[lam ^ 1])
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,16 @@ keeps n5.  Every per-curve value is a fixed form in these adjusted rows:
 the traces, coset.invariants, and each splitting count, whose
 inclusion-exclusion coefficients of (n1', n3', n5) SUBSETS holds.
 
-lambda_of reads a^2 from the square table.  CurveParams computes
-j = lam^-4 only when it is read, as exp[-4*log(lam) mod (q - 1)] from
-the log tables, which the count table's build has already filled.
+lambda_of reads a^2 from the square table.  CurveParams checks (class, b)
+on construction and derives lam = b + 1, so no instance holds an unchecked
+lam; j = lam^-4 is computed only when read, as exp[-4*log(lam) mod (q - 1)]
+from the log tables, which the count table's build has already filled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
@@ -50,13 +51,16 @@ def lambda_of(field: FieldSpec, a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class CurveParams:
-    """One member of the family: trace class of A, the element B, and the
-    derived invariant lam = B + 1."""
+    """One member of the family: trace class of A and the element B, checked
+    on construction (_lam), and the invariant lam = B + 1 derived from them."""
 
     field: FieldSpec
     trace_class_a: int
     b: int
-    lam: int
+    lam: int = dc_field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", _lam(self.field, self.trace_class_a, self.b))
 
     @property
     def j_invariant(self) -> int:
@@ -66,10 +70,7 @@ class CurveParams:
         return int(exp[-4 * int(log[self.lam]) % (self.field.q - 1)])
 
 
-def curve_params(field: FieldSpec, trace_class_a: int, b: int) -> CurveParams:
-    """Validated CurveParams for normalized A (so lam = b + 1)."""
-    lam = _lam(field, trace_class_a, b)
-    return CurveParams(field=field, trace_class_a=trace_class_a, b=b, lam=lam)
+curve_params = CurveParams  # the checked constructor, under its functional name
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,10 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
     """Proven enclosure for split_count, when one exists (f1f2 and f3).
 
     Lower endpoints are clamped at zero; counts are nonnegative even when
-    the small-q formulas dip below it.
+    the small-q formulas dip below it.  Unknown names fail as in split_count.
     """
+    if subset not in SUBSETS:
+        raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
     off = _offset(field, trace_class_a)
     q, t, s = _root_forms(field.m)
     if subset == "f1f2":

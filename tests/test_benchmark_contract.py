@@ -1,9 +1,11 @@
 """The benchmark under perfbench/ calls the package by name: its own
-self-test covers the untraced workloads and their checks, and every
-function that its tracer wraps must still exist.  A change that deletes
-or renames a name the benchmark reads fails here."""
+self-test covers the untraced workloads and their checks, one traced pass
+of each workload that probes the package covers the probes and the span
+wrappers, and every function that its tracer wraps must still exist.  A
+change that deletes or renames a name the benchmark reads fails here."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,18 @@ def test_benchmark_selftest_passes():
         [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("workload", ["verify", "queries"])
+def test_traced_pass_is_correct(workload):
+    # --trace 1 runs perfbench/probes.py and the tracer's wrappers, which
+    # the untraced self-test never reaches
+    args = ["--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "1"]
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", *args], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True
 
 
 @pytest.mark.parametrize(

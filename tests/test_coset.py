@@ -96,6 +96,24 @@ class TestNOfGeneral:
             assert N_of_general(f5, a, b) == oracle.brute_N(f5, a, b)
             seen += 1
 
+    def test_checked_once(self, f5, monkeypatch):
+        # the general query checks (a, b) itself and reads the invariant
+        # array directly: neither the normalized entry point nor its
+        # check runs a second time
+        expected = {(a, b): oracle.brute_N(f5, a, b) for a, b in ((0, 0), (3, 2), (17, 30), (31, 5))}
+        monkeypatch.setattr(coset, "N_of", _refuse)
+        monkeypatch.setattr(curves, "_lam", _refuse)
+        for (a, b), value in expected.items():
+            assert N_of_general(f5, a, b) == value
+        with pytest.raises(ValueError, match="^0x20 is not an element of F_2\\^5$"):
+            N_of_general(f5, 32, 0)
+        with pytest.raises(ValueError, match="^0x20 is not an element of F_2\\^5$"):
+            N_of_general(f5, 0, 32)
+        with pytest.raises(DegenerateLambdaError, match="^a=0x0, b=0x1 give lam=0: "):
+            N_of_general(f5, 0, 1)
+        with pytest.raises(ValueError, match="odd extension degree, got m=6"):
+            N_of_general(make_field(6), 0, 0)
+
     def test_every_valid_pair_against_oracle(self, f5):
         # all 992 nondegenerate (a, b): the normalization rule is exact
         for a in range(f5.q):
@@ -364,6 +382,11 @@ REFUSALS = {
     "curve_params-bad-b": (curve_params, 5, (0, 32), TABLES, ValueError),
     "curve_params-b1": (curve_params, 5, (0, 1), TABLES, LAM0),
     "curve_params-even-m": (curve_params, 6, (0, 0), TABLES, ValueError),
+    "CurveParams-b1": (curves.CurveParams, 5, (0, 1), TABLES + SQUARE, LAM0),
+    "CurveParams-b-q": (curves.CurveParams, 5, (1, 32), TABLES + SQUARE, ValueError),
+    "CurveParams-b-negative": (curves.CurveParams, 5, (0, -1), TABLES + SQUARE, ValueError),
+    "CurveParams-class2": (curves.CurveParams, 5, (2, 0), TABLES + SQUARE, ValueError),
+    "CurveParams-even-m": (curves.CurveParams, 6, (0, 0), TABLES + SQUARE, ValueError),
     "n_count-bad-lam": (curves.n_count, 5, (1, 32, 0), TABLES, ValueError),
     "n_count-lam0": (curves.n_count, 5, (1, 0, 0), TABLES, LAM0),
     "g_count-bad-lam": (curves.g_count, 5, (32,), TABLES, ValueError),

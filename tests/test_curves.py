@@ -8,6 +8,7 @@ import pytest
 
 from bch3 import coset, curves
 from bch3.curves import (
+    CurveParams,
     DegenerateLambdaError,
     curve_params,
     curve_traces,
@@ -47,6 +48,16 @@ class TestLambda:
     def test_params_reject_degenerate(self, f5):
         with pytest.raises(DegenerateLambdaError):
             curve_params(f5, 0, 1)
+
+    def test_params_derive_lam(self, f5):
+        # lam = b + 1 is derived on construction, never passed in
+        for cls in (0, 1):
+            for b in (0, 2, 5, 31):
+                assert CurveParams(f5, cls, b).lam == b ^ 1
+        init = [f.name for f in dataclasses.fields(CurveParams) if f.init]
+        assert init == ["field", "trace_class_a", "b"]
+        with pytest.raises(TypeError):
+            CurveParams(f5, 0, 5, 9)
 
     def test_params_expose_j_invariant(self, f5):
         for b in (0, 2, 30):
@@ -268,9 +279,15 @@ class TestSplitCounts:
         with pytest.raises(ValueError, match="odd extension degree"):
             split_interval(subset, f4, 0)
 
-    def test_unknown_subset(self, f5):
-        with pytest.raises(ValueError):
+    def test_unknown_subset(self, f4, f5):
+        # an unknown name is not f1f2f3's "no proven interval": both entry
+        # points refuse it with one message, before the degree or class
+        with pytest.raises(ValueError) as count_error:
             split_count("f5", curve_params(f5, 0, 0))
+        for field, cls in ((f5, 0), (f5, 1), (f4, 0), (f5, 2)):
+            with pytest.raises(ValueError) as interval_error:
+                split_interval("f5", field, cls)
+            assert str(interval_error.value) == str(count_error.value)
 
     def test_direct_enumeration(self, f5):
         # every valid b at m = 5, both classes: the exact reference for the
