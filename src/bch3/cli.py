@@ -65,7 +65,7 @@ def _cmd_nab(args) -> dict:
 def _cmd_table(args) -> dict:
     table = coset.distribution(args.m, args.modulus)
     payload = table.to_json_dict()
-    payload["_tsv"] = table.to_tsv()
+    payload["_tsv"] = table.to_tsv  # rendered by _emit under --format tsv only
     return payload
 
 
@@ -160,7 +160,7 @@ def _emit(report: dict, fmt: str) -> None:
         return
     lines = [f"{key}\t{report[key]}" for key in ("command", "m", "modulus", "elapsed_s")]
     if tsv_block is not None:
-        sys.stdout.write("\n".join(lines) + "\n" + tsv_block)
+        sys.stdout.write("\n".join(lines) + "\n" + tsv_block())
         return
     rows: list[tuple[str, str]] = []
     _flatten("", report["payload"], rows)

@@ -112,7 +112,8 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     per_class = []
     for cls in (0, 1):
         hist = np.bincount(np.delete(invariants(field, cls), 1))  # B = 1 is lam = 0
-        per_class.append({int(v): int(c) for v, c in enumerate(hist) if c})
+        values = np.flatnonzero(hist)
+        per_class.append(dict(zip(values.tolist(), hist[values].tolist())))
     merged = dict(sorted((Counter(per_class[0]) + Counter(per_class[1])).items()))
     table = DistributionTable(
         m=m, modulus=field.modulus, per_class=(per_class[0], per_class[1]), normalized=merged

@@ -8,20 +8,21 @@ by passing the right FieldSpec, which is how the bulk numpy kernels can
 share the same integer encoding.
 
 The scalar FieldSpec methods (mul, square, pow, inv) are bit loops over
-one element.  They are the auditable reference the tables are tested
-against, and they bootstrap the tables (the trace mask, the generator
-search in log_tables, the basis of trace_mul_table); per-element queries
-elsewhere read the tables instead.
+one element: the auditable reference the tables are tested against, and
+the order test on the generator in log_tables.  Field setup makes no
+scalar product per bit: Ben-Or's test checks the modulus, Newton's
+identities give the trace mask, and one shift-and-reduce pass gives the
+basis products c*x^j behind every table.
 
-The array kernel is mul_const, a product by one constant over a whole
-int64 array: v -> c*v is F_2-linear, so it is two lookups into
-half-width tables filled by xor-ing basis products over subsets, the
-way trace_mul_table is filled.  It builds the per-field log/antilog
-tables (log_tables), and every per-element power table (power_table,
-inverse_table) is one lookup into them, so no per-field setup loops over
-the q elements in Python.  No FieldSpec of degree above TABLE_MAX_M
-exists (the modulus search refuses one before it starts), so the cap
-bounds every field the package builds and every table grown from it.
+The array kernel is the span table: v -> c*v is F_2-linear, so a product
+by a constant over an int64 array is two lookups into half-width tables
+filled by xor-ing basis products over subsets (mul_const), as is
+trace_mul_table.  log_tables builds these for all its doubling constants
+at once, and every power table (power_table, inverse_table) is one
+lookup into the log/antilog tables: no per-field setup loops over the q
+elements in Python.  No FieldSpec of degree above TABLE_MAX_M exists (the
+modulus search refuses one before it starts), so the cap bounds every
+field the package builds and every table grown from it.
 
 Hex strings ("0x25" for x^5 + x^2 + 1) are the external encoding of both
 elements and moduli.
@@ -57,18 +58,30 @@ def poly_mod(a: int, b: int) -> int:
         a ^= b << (da - db)
 
 
-def is_irreducible(p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(p)/2.
+def _square_mod(a: int, p: int) -> int:
+    """a^2 mod p over F_2: the binary digits of a, read in base 4, are its square."""
+    return poly_mod(int(bin(a)[2:], 4), p)
 
-    Slow but auditable; instant for the degrees this package supports.
-    """
+
+def _poly_gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two polynomials over F_2 (Euclid)."""
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
+def is_irreducible(p: int) -> bool:
+    """Ben-Or's test (1981): p of degree m >= 1 is irreducible exactly when
+    gcd(p, x^(2^i) + x) = 1 for 1 <= i <= m/2, since x^(2^i) + x is the
+    product of the irreducibles of degree dividing i.  One squaring per i."""
     m = poly_degree(p)
     if m < 1:
         return False
-    for d in range(1, m // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if poly_mod(p, q) == 0:
-                return False
+    r = 2  # x^(2^i) mod p
+    for _ in range(m // 2):
+        r = _square_mod(r, p)
+        if _poly_gcd(p, r ^ 2) != 1:
+            return False
     return True
 
 
@@ -83,7 +96,7 @@ def _check_degree(m: int) -> None:
 @lru_cache(maxsize=None)
 def find_default_modulus(m: int) -> int:
     """Smallest integer encoding of a monic irreducible of degree m."""
-    _check_degree(m)  # past the cap the trial-division search runs for minutes
+    _check_degree(m)  # past the cap no field may exist, so none is searched for
     for p in range(1 << m, 1 << (m + 1)):
         if is_irreducible(p):
             return p
@@ -116,11 +129,13 @@ class FieldSpec:
         if not is_irreducible(self.modulus):
             raise ValueError(f"modulus 0x{self.modulus:x} is reducible")
         object.__setattr__(self, "q", 1 << self.m)
-        mask = 0
-        for j in range(self.m):
-            t = self._trace_by_definition(1 << j)
-            mask |= t << j
-        object.__setattr__(self, "trace_mask", mask)
+        # Tr(x^k) is the power sum p_k of the modulus's roots.  Newton's identities over F_2:
+        # p_k = k e_k + sum_{0<i<k} e_i p_{k-i}, e_i the coefficient of x^(m-i)
+        e = [self.modulus >> (self.m - i) & 1 for i in range(self.m)]
+        p = [self.m & 1]  # p_0 = Tr(1)
+        for k in range(1, self.m):
+            p.append((k * e[k] + sum(e[i] & p[k - i] for i in range(1, k))) & 1)
+        object.__setattr__(self, "trace_mask", sum(bit << k for k, bit in enumerate(p)))
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -175,17 +190,6 @@ class FieldSpec:
         self._check(a)
         return (a & self.trace_mask).bit_count() & 1
 
-    def _trace_by_definition(self, a: int) -> int:
-        # a + a^2 + ... + a^(2^(m-1)), evaluated in the field.
-        acc = a
-        s = a
-        for _ in range(self.m - 1):
-            s = self.mul(s, s)
-            acc ^= s
-        if acc not in (0, 1):
-            raise AssertionError("trace left the prime field; modulus is broken")
-        return acc
-
 
 @lru_cache(maxsize=None)  # the irreducibility test and trace mask run once per field
 def make_field(m: int, modulus: int | None = None) -> FieldSpec:
@@ -216,27 +220,38 @@ def _readonly(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _span_table(basis: list[int]) -> np.ndarray:
-    """table[s] = xor of basis[j] over the set bits j of s, for every s
-    below 2^len(basis), filled one basis vector at a time."""
-    table = np.zeros(1 << len(basis), dtype=np.int64)
-    for k, vector in enumerate(basis):
-        table[1 << k : 2 << k] = table[: 1 << k] ^ vector
+def _basis_products(field: FieldSpec, cs: list[int], count: int) -> list[list[int]]:
+    """rows[r][j] = cs[r] * x^j for j < count, by shift-and-reduce."""
+    rows = [[c] for c in cs]
+    for row in rows:
+        for _ in range(count - 1):
+            row.append((row[-1] << 1) ^ (row[-1] >> (field.m - 1)) * field.modulus)
+    return rows
+
+
+def _span_tables(basis: np.ndarray) -> np.ndarray:
+    """table[..., s] = xor of basis[..., j] over the set bits j of s, for every
+    s below 2^n with n = basis.shape[-1], filled one basis column at a time."""
+    table = np.zeros(basis.shape[:-1] + (1 << basis.shape[-1],), dtype=np.int64)
+    for k in range(basis.shape[-1]):
+        table[..., 1 << k : 2 << k] = table[..., : 1 << k] ^ basis[..., k, None]
     return table
 
 
-def mul_const(field: FieldSpec, c: int, v: np.ndarray) -> np.ndarray:
-    """c * v elementwise, for one element c and an int64 array v of elements.
-
-    v -> c*v is F_2-linear, so it is the xor of one lookup on the low
-    m//2 bits of v and one on the rest, into tables spanned by the basis
-    products c*x^j.
-    """
-    products = [field._check(c)]
-    for _ in range(field.m - 1):
-        products.append(field.mul(products[-1], 2))
+def _mul_tables(field: FieldSpec, cs: list[int]) -> np.ndarray:
+    """(low, high) per constant c in cs, c*v = low[v & (2^h - 1)] ^ high[v >> h] for h = m//2:
+    v -> c*v is F_2-linear, so both span the basis products c*x^j.  low spans m - h of them,
+    not h, so one span-table build fills both; v & (2^h - 1) never reads past entry 2^h."""
     half = field.m // 2
-    low, high = _span_table(products[:half]), _span_table(products[half:])
+    rows = _basis_products(field, cs, field.m)
+    return _span_tables(np.array([[row[: field.m - half], row[half:]] for row in rows], dtype=np.int64))
+
+
+def mul_const(field: FieldSpec, c: int, v: np.ndarray) -> np.ndarray:
+    """c * v elementwise, for one element c and an int64 array v of elements:
+    the one-row case of the tables log_tables builds for all its constants."""
+    [(low, high)] = _mul_tables(field, [field._check(c)])
+    half = field.m // 2
     return low[v & ((1 << half) - 1)] ^ high[v >> half]
 
 
@@ -247,18 +262,24 @@ def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     exp[k] = g^k for 0 <= k < q - 1, and log[exp[k]] = k, with log[0] = 0
     as filler.  g passes the order test g^((q-1)/p) != 1 for every prime p
     dividing q - 1; x itself need not be primitive (modulus 0x1f at m = 4).
-    exp is filled by doubling, exp[k:2k] = exp[:k] * g^k, in log2(q)
-    passes of mul_const.
+    exp is filled by doubling, exp[k:2k] = exp[:k] * g^k for k = 2^i, in
+    m passes of two gathers each into the multiplier tables of the
+    constants g^(2^i), all built in one batched pass.
     """
     n = field.q - 1
     primes = _prime_factors(n)
     g = next(g for g in range(2, field.q) if all(field.pow(g, n // p) != 1 for p in primes))
+    constants = [g]  # g^(2^i) for the m passes: n = 2^m - 1, so k = 2^i for i < m
+    for _ in range(field.m - 1):
+        constants.append(_square_mod(constants[-1], field.modulus))
+    half = field.m // 2
     exp = np.ones(n, dtype=np.int64)
-    k, gk = 1, g
-    while k < n:
+    k = 1
+    for low, high in _mul_tables(field, constants):
         stop = min(2 * k, n)
-        exp[k:stop] = mul_const(field, gk, exp[: stop - k])
-        k, gk = stop, field.mul(gk, gk)
+        head = exp[: stop - k]
+        exp[k:stop] = low[head & ((1 << half) - 1)] ^ high[head >> half]
+        k = stop
     log = np.zeros(field.q, dtype=np.int64)
     log[exp] = np.arange(n, dtype=np.int64)
     return _readonly(exp), _readonly(log)
@@ -288,9 +309,6 @@ def trace_mul_table(field: FieldSpec) -> np.ndarray:
     be filled by xor-ing basis masks over subsets.
     """
     m = field.m
-    powers = [1]
-    for _ in range(2 * m - 2):
-        powers.append(field.mul(powers[-1], 2))
-    trs = [field.trace(p) for p in powers]
-    table = _span_table([sum(trs[j + k] << j for j in range(m)) for k in range(m)])
-    return _readonly(table)
+    # bit i of trs is Tr(x^i), so bit j of basis[k] is Tr(x^(j + k)) = Tr(x^j * x^k)
+    trs = sum(field.trace(p) << i for i, p in enumerate(_basis_products(field, [1], 2 * m - 1)[0]))
+    return _readonly(_span_tables((trs >> np.arange(m, dtype=np.int64)) & (field.q - 1)))

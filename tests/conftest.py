@@ -3,6 +3,7 @@
 The reference helpers here recompute traces and fibre counts straight
 from the definitions (Frobenius-power sums, per-x field evaluation), so
 the fast mask kernels are always checked against an independent path;
+irreducible_by_trial_division stands behind Ben-Or's test in gf2m, and
 mul_array (shift-and-reduce products over whole arrays) stands behind
 the constant multiplier of the field tables, and f2_rank_by_loop,
 full_group_bfs_layers and weight4_histogram_by_triples do the same for
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from bch3.gf2m import FieldSpec, make_field, power_table
+from bch3.gf2m import FieldSpec, make_field, poly_mod, power_table
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,12 @@ def f7() -> FieldSpec:
 @pytest.fixture(scope="session")
 def f9() -> FieldSpec:
     return make_field(9)
+
+
+def irreducible_by_trial_division(p: int) -> bool:
+    """No polynomial of degree 1 to deg(p)/2 divides p: every one is tried."""
+    m = p.bit_length() - 1
+    return m >= 1 and all(poly_mod(p, d) for d in range(2, 1 << (m // 2 + 1)))
 
 
 def mul_array(field: FieldSpec, a, b) -> np.ndarray:

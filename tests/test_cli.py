@@ -334,8 +334,8 @@ class TestFormatsAndErrors:
         ids=lambda argv: argv[0],
     )
     def test_huge_m_exit_one(self, capsys, monkeypatch, argv):
-        # refused before the modulus search, whose trial division takes
-        # seconds at these degrees, and so before any table of 2^31 entries
+        # refused before the modulus search, and so before any table of
+        # 2^31 entries
         def search(m):
             pytest.fail(f"modulus search reached for m={m}")
 
@@ -395,8 +395,7 @@ class TestFormatsAndErrors:
         assert captured.err == "error: 0x40 is not an element of F_2^5\n"
 
     def test_field_refused_past_table_limit(self, capsys):
-        # refused before the modulus search, whose trial division at this
-        # degree would not finish
+        # refused before the modulus search: no field past the cap exists
         assert cli.main(["field", "--m", "64"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -426,7 +425,7 @@ class TestFormatsAndErrors:
 
     def test_negative_modulus_process_exits_two(self):
         # in a fresh process with a timeout: on a negative modulus the
-        # trial division in is_irreducible would never end
+        # polynomial remainders in is_irreducible would never end
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         done = subprocess.run(
             [sys.executable, "-m", "bch3.cli", "field", "--m", "5", "--modulus=-0x25"],

@@ -18,7 +18,7 @@ from bch3.gf2m import (
     power_table,
     trace_mul_table,
 )
-from conftest import mul_array, trace_by_definition
+from conftest import irreducible_by_trial_division, mul_array, trace_by_definition
 
 
 class TestConstruction:
@@ -54,8 +54,9 @@ class TestConstruction:
             make_field(1)
 
     def test_negative_modulus_rejected(self):
-        # -0x25 has degree 5 and an odd constant term, and the trial
-        # division of a negative int never ends
+        # -0x25 has degree 5 and an odd constant term, and the
+        # polynomial remainders of the irreducibility test never end on a
+        # negative int
         with pytest.raises(ValueError, match="negative"):
             FieldSpec(5, -0x25)
 
@@ -95,7 +96,7 @@ class TestConstruction:
 
     def test_default_modulus_search_refuses_past_the_cap(self, monkeypatch):
         # the exported search guards itself, not only behind make_field:
-        # its trial divisors grow as 2^(m/2)
+        # past the cap no field may exist, however fast the test per candidate
         tested = []
 
         def spy(p):
@@ -120,6 +121,18 @@ class TestConstruction:
     def test_known_reducible(self):
         assert not is_irreducible(0x23)  # (x^2+x+1)(x^3+x^2+1)
         assert is_irreducible(0x25)
+
+    def test_ben_or_matches_trial_division(self):
+        # every p below 2^13: degrees 0 to 12, reducible ones with repeated
+        # factors and with a factor x among them
+        candidates = range(1 << 13)
+        expected = [p for p in candidates if irreducible_by_trial_division(p)]
+        assert [p for p in candidates if is_irreducible(p)] == expected
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_default_modulus_is_the_oracles_smallest(self, m):
+        smallest = next(p for p in range(1 << m, 2 << m) if irreducible_by_trial_division(p))
+        assert find_default_modulus(m) == smallest
 
 
 class TestArithmetic:
@@ -181,7 +194,27 @@ class TestArithmetic:
         assert len(cubes) == field.q
 
 
+def _fresh_moduli(m: int) -> list[int]:
+    """The two smallest irreducibles of degree m above the default one."""
+    default = find_default_modulus(m)
+    return [p for p in range(default + 1, 1 << (m + 1)) if is_irreducible(p)][:2]
+
+
+def _trace_mask_fields():
+    """Default fields m = 2..TABLE_MAX_M (at even m, Tr(1) = 0), two fresh
+    moduli at each of m = 9, 11 and 13, and 0x1f at m = 4."""
+    fields = [make_field(m) for m in range(2, TABLE_MAX_M + 1)]
+    fields += [make_field(m, p) for m in (9, 11, 13) for p in _fresh_moduli(m)]
+    return fields + [make_field(4, 0x1F)]
+
+
 class TestTrace:
+    @pytest.mark.parametrize("field", _trace_mask_fields(), ids=lambda f: f"m{f.m}-0x{f.modulus:x}")
+    def test_trace_mask_matches_definition(self, field):
+        # Newton's identities against the Frobenius sum of each basis element
+        bits = [trace_by_definition(field, 1 << j) for j in range(field.m)]
+        assert field.trace_mask == sum(bit << j for j, bit in enumerate(bits))
+
     def test_trace_of_zero(self, f5):
         assert f5.trace(0) == 0
 
@@ -232,12 +265,8 @@ def _kernel_fields():
     """Default fields m = 2..13, two fresh moduli at m = 9 and 11, and
     0x1f at m = 4, where x has order 5 and so is not primitive."""
     fields = [make_field(m) for m in range(2, 14)]
-    for m in (9, 11):
-        default = find_default_modulus(m)
-        fresh = [p for p in range(default + 1, 1 << (m + 1)) if is_irreducible(p)][:2]
-        fields += [make_field(m, p) for p in fresh]
-    fields.append(make_field(4, 0x1F))
-    return fields
+    fields += [make_field(m, p) for m in (9, 11) for p in _fresh_moduli(m)]
+    return fields + [make_field(4, 0x1F)]
 
 
 class TestArrayKernel:
