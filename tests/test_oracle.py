@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bch3 import coset, oracle
-from bch3.gf2m import log_tables, make_field, power_table
+from bch3.gf2m import FieldSpec, find_default_modulus, log_tables, make_field, power_table
 from bch3.oracle import brute_N, covering_radius
 from conftest import f2_rank_by_loop, full_group_bfs_layers, mul_array, weight4_histogram_by_triples
 
@@ -186,7 +186,7 @@ class TestOrbitLabels:
     def test_label_is_least_member_of_its_orbit(self, m):
         field = make_field(m)
         q, n = field.q, field.q - 1
-        label = oracle._orbit_labels(field).astype(np.int64)
+        label = oracle._orbit_labels(field)[0].astype(np.int64)
         state = np.arange(2 * q * q)
         assert np.array_equal(label[label], label)
         assert (label <= state).all()
@@ -212,6 +212,38 @@ class TestOrbitLabels:
             e = (1 << gcd(k, m)) - 1
             fixed += sum((1 + e * (3 * l % e == 0)) * (1 + e * (5 * l % e == 0)) for l in range(n))
         assert n * m * np.count_nonzero(labels[: q * q]) == fixed
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10])
+    def test_listed_labels_are_the_states_that_are_their_own_label(self, m):
+        # the label pass lists each orbit once, from its scan order alone:
+        # against a rescan of the whole table for the states that are their own label
+        q = 1 << m
+        label, listed = oracle._orbit_labels(make_field(m))
+        assert listed.dtype == np.int64
+        assert np.array_equal(listed, np.flatnonzero(label == np.arange(2 * q * q)))
+
+    def test_each_table_is_built_once(self, monkeypatch):
+        # a field no cache has seen, so every per-field table is built in this test
+        m = 6
+        field = FieldSpec(m, find_default_modulus(m))
+        monkeypatch.setattr(oracle, "make_field", lambda m: field)
+        built, reads = [], []
+        for name, record in [("log_tables", built), ("power_table", built), ("_cube_fifth", reads)]:
+            original = getattr(oracle, name)
+
+            def spy(*args, original=original, record=record):
+                table = original(*args)
+                record.append((args[1:], table))
+                return table
+
+            monkeypatch.setattr(oracle, name, spy)
+        covering_radius(m)
+        # _scaling reads the log tables once for both searches, and the
+        # column table reads x^3 and x^5 once for the group order and the step
+        assert sorted(args for args, _ in built if args != (2,)) == [(), (3,), (5,)]
+        oracle.weight4_rows(field, (0,))
+        assert len(reads) == 3  # _group_order, _orbit_depths, weight4_rows
+        assert all(table is reads[0][1] for _, table in reads)
 
 
 class TestCoveringRadius:
