@@ -117,11 +117,11 @@ def _cmd_verify(args) -> dict:
     # limit they fail before any count table is built
     curves.require_odd(field.m)
     rows = oracle.weight4_rows(field, (0, 1))
+    b = np.arange(1, field.q) ^ 1  # B = lam + 1 for A in {0, 1}, lam != 0
     mismatches = []
     for cls, row in enumerate(rows):
-        differ = coset.invariants(field, cls) != row
-        differ[1] = False  # B = 1 is the degenerate lam = 0
-        mismatches += [{"tr_a": cls, "b": _hex(b)} for b in np.flatnonzero(differ)]
+        wrong = b[coset.invariants(field, cls)[1:] != row[b]]
+        mismatches += [{"tr_a": cls, "b": _hex(v)} for v in np.sort(wrong).tolist()]
     payload = {"mode": "exhaustive", "checked": 2 * (field.q - 1), "mismatches": mismatches}
     if mismatches:
         # reported before the calibration, which reads the same closed form
@@ -149,8 +149,8 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, rows)
     elif isinstance(value, (list, tuple)):
         rows.append((prefix, ",".join(str(v) for v in value)))
-    else:
-        rows.append((prefix, str(value)))
+    else:  # a null is an empty field, as an empty list is
+        rows.append((prefix, "" if value is None else str(value)))
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -158,14 +158,12 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(report) + "\n")
         return
-    lines = [f"{key}\t{report[key]}" for key in ("command", "m", "modulus", "elapsed_s")]
-    if tsv_block is not None:
-        sys.stdout.write("\n".join(lines) + "\n" + tsv_block())
-        return
     rows: list[tuple[str, str]] = []
-    _flatten("", report["payload"], rows)
-    lines += [f"{key}\t{value}" for key, value in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _flatten("", {key: report[key] for key in ("command", "m", "modulus", "elapsed_s")}, rows)
+    if tsv_block is None:
+        _flatten("", report["payload"], rows)
+    text = "".join(f"{key}\t{value}\n" for key, value in rows)
+    sys.stdout.write(text + (tsv_block() if tsv_block else ""))
 
 
 @lru_cache(maxsize=None)  # one parser per process: building it costs more than a small command
@@ -234,12 +232,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     elapsed = time.perf_counter() - start
-    modulus = payload.get("modulus")
-    if modulus is None:
-        try:
-            modulus = _hex(make_field(args.m, getattr(args, "modulus", None)).modulus)
-        except ValueError:
-            pass  # no field of this degree, or none built: the envelope says null
+    try:
+        modulus = _hex(make_field(args.m, getattr(args, "modulus", None)).modulus)
+    except ValueError:  # no field of this degree: the envelope says null
+        modulus = None
     report = {
         "command": args.command,
         "m": args.m,

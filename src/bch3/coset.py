@@ -30,8 +30,8 @@ from .gf2m import FieldSpec, make_field
 
 @lru_cache(maxsize=None)
 def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
-    """N for normalized A (trace class only) and every B, indexed by B, as
-    a read-only int64 array; the degenerate B = 1 (lam = 0) holds -1.
+    """N for normalized A (trace class only) and every lam, as a read-only
+    int64 array indexed like the count table: the degenerate lam = 0 holds -1.
 
     One combine over the lam != 0 columns of the adjusted count rows,
     checked once to sit on the even part of its lattice; the lam = 0
@@ -42,8 +42,7 @@ def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
     num = -6 * q - 2 + 8 * off + 2 * (2 * n1 + 2 * n3 + 3 * n5)
     if (num % 24).any() or (num < 0).any() or (num // 24 % 2).any():
         raise AssertionError("invariant left its lattice")
-    values = np.full(q, -1, dtype=np.int64)
-    values[np.arange(1, q) ^ 1] = num // 24
+    values = np.concatenate(([-1], num // 24), dtype=np.int64)
     values.flags.writeable = False
     return values
 
@@ -53,20 +52,20 @@ def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
 
     The degree, class and b are validated by curves._lam before the
     invariant array is read or built."""
-    curves._lam(field, trace_class_a, b)
-    return int(invariants(field, trace_class_a)[b])
+    lam = curves._lam(field, trace_class_a, b)
+    return int(invariants(field, trace_class_a)[lam])
 
 
 def N_of_general(field: FieldSpec, a: int, b: int) -> int:
     """The invariant for arbitrary A, translated to the normalized form:
-    odd m, a, b and lam != 0 are checked once, then B = lam + 1 is read."""
+    odd m, a, b and lam != 0 are checked once, then lam is read."""
     require_odd(field.m)  # before the elements, as for normalized A
     lam = curves.lambda_of(field, a, b)
     if lam == 0:
         raise DegenerateLambdaError(
             f"a=0x{a:x}, b=0x{b:x} give lam=0: the coset family degenerates into twelve lines"
         )
-    return int(invariants(field, field.trace(a))[lam ^ 1])
+    return int(invariants(field, field.trace(a))[lam])
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     q = field.q
     per_class = []
     for cls in (0, 1):
-        hist = np.bincount(np.delete(invariants(field, cls), 1))  # B = 1 is lam = 0
+        hist = np.bincount(invariants(field, cls)[1:])
         values = np.flatnonzero(hist)
         per_class.append(dict(zip(values.tolist(), hist[values].tolist())))
     merged = dict(sorted((Counter(per_class[0]) + Counter(per_class[1])).items()))
@@ -263,11 +262,11 @@ def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:
     the trace derivation.  One array pass over the lam != 0 columns.
     """
     field = make_field(m, modulus)
-    lam = np.arange(1, field.q)
+    nonzero = slice(1, None)
     out: dict[int, int] = {}
     for cls in (0, 1):
-        t_combined = curves._traces_at(field, cls, lam)[-1]
-        const = field.q + 1 - t_combined - 24 * invariants(field, cls)[lam ^ 1]
+        t_combined = curves._traces_at(field, cls, nonzero)[-1]
+        const = field.q + 1 - t_combined - 24 * invariants(field, cls)[nonzero]
         if (const != const[0]).any():
             seen = sorted(set(const.tolist()))
             raise AssertionError(f"boundary constant drifts within class {cls}: {seen}")

@@ -232,7 +232,7 @@ def _rows(field: FieldSpec, trace_class_a: int, lam):
 
 def _traces_at(field: FieldSpec, trace_class_a: int, lam):
     """(n, t1, t3, t5, tg, t_combined) at one lam, or elementwise over an
-    array of nonzero lams, from the count table.  lam is not checked:
+    index array or slice of nonzero lams, from the count table.  lam is not checked:
     both callers pass lam already validated.
 
     Boundary conventions: the cubic-polynomial cover contributes one point

@@ -39,10 +39,10 @@ from functools import lru_cache
 import numpy as np
 
 # Largest degree of any field the package builds.  Its per-field tables are
-# q-sized: cold through the CLI on a 2-core Xeon, `table --m 21` takes 1.2 s
-# at 217 MB peak RSS and `table --m 23` 3.8-4.0 s at 716 MB, each odd step
+# q-sized: cold through the CLI on a 2-core Xeon, `table --m 21` takes 0.6 s
+# at 213 MB peak RSS and `table --m 23` 2.0-2.3 s at 702 MB, each odd step
 # of m multiplies the peak above the interpreter's 35 MB by about 4 (3.7
-# from m = 21 to 23), and m = 25 would take about 2.8 GB.
+# from m = 21 to 23), and m = 25 would take about 2.7 GB.
 TABLE_MAX_M = 23
 
 

@@ -97,13 +97,14 @@ class TestCommands:
         assert report["payload"]["mismatches"] == []
 
     def test_verify_reports_each_mismatch(self, capsys, monkeypatch):
-        # one wrong closed-form value is reported, and the lam = 0 filler is not
+        # one wrong closed-form value is reported by its B, and the lam = 0
+        # filler is not
         invariants = cli.coset.invariants
 
         def perturbed(field, cls):
             values = invariants(field, cls).copy()
             if cls == 1:
-                values[6] += 2
+                values[7] += 2  # lam = 7 is B = 6
             return values
 
         monkeypatch.setattr(cli.coset, "invariants", perturbed)
@@ -111,6 +112,21 @@ class TestCommands:
         assert code == 1
         assert report["payload"]["checked"] == 1022
         assert report["payload"]["mismatches"] == [{"tr_a": 1, "b": "0x6"}]
+
+    def test_verify_lists_mismatches_by_b(self, capsys, monkeypatch):
+        # B = 6 and 7 are lam = 7 and 6: the list keeps B's order, not lam's
+        invariants = cli.coset.invariants
+
+        def perturbed(field, cls):
+            values = invariants(field, cls).copy()
+            if cls == 0:
+                values[[6, 7]] += 2
+            return values
+
+        monkeypatch.setattr(cli.coset, "invariants", perturbed)
+        code, report = run_json(capsys, "verify", "--m", "7")
+        assert code == 1
+        assert report["payload"]["mismatches"] == [{"tr_a": 0, "b": "0x6"}, {"tr_a": 0, "b": "0x7"}]
 
     def test_verify_calibrates_the_given_field(self, capsys, monkeypatch):
         seen = []
@@ -254,6 +270,23 @@ class TestFormatsAndErrors:
         code, out = run(capsys, "--format", "tsv", "bounds", "--m", "9")
         assert code == 0
         assert "refined_even\t4,38" in out.splitlines()
+
+    def test_tsv_null_modulus_is_an_empty_field(self, capsys):
+        # no field of degree 101 fills the envelope's modulus: JSON says null
+        code, out = run(capsys, "--format", "tsv", "bounds", "--m", "101")
+        assert code == 0
+        assert out.splitlines()[:3] == ["command\tbounds", "m\t101", "modulus\t"]
+        assert "None" not in out
+
+    def test_tsv_null_payload_value_is_an_empty_field(self, capsys):
+        # f1f2f3 has no proven interval: JSON says null
+        code, out = run(capsys, "--format", "tsv", "split", "--m", "5", "--b", "0x0", "--subset", "f1f2f3")
+        assert code == 0
+        out = re.sub(r"\nelapsed_s\t[^\n]+\n", "\nelapsed_s\tX\n", out)
+        assert out == (
+            "command\tsplit\nm\t5\nmodulus\t0x25\nelapsed_s\tX\n"
+            "subset\tf1f2f3\ntr_a\t0\nb\t0x0\nM\t0\ninterval\t\n"
+        )
 
     def test_domain_error_exit_one(self, capsys):
         assert cli.main(["nab", "--m", "5", "--tr-a", "0", "--b", "0x01"]) == 1
@@ -547,3 +580,22 @@ class TestFormatsAndErrors:
     def test_unreadable_gamma_file_exit_one(self, capsys, tmp_path):
         assert cli.main(["gamma", "--m", "13", "--gamma-file", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _readme_commands() -> list[str]:
+    """The `bch3 ...` lines of README's "Command line" block, comments cut."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("bch3 ")]
+
+
+class TestReadmeCommands:
+    def test_block_found(self):
+        assert len(_readme_commands()) == 10
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_runs_clean(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1
+        assert json.loads(out)["command"] == argv[0]

@@ -59,6 +59,17 @@ class TestNOf:
     def test_matches_oracle_at_origin(self, f5):
         assert N_of(f5, 0, 0) == 0 == oracle.brute_N(f5, 0, 0)
 
+    @pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
+    def test_table_indexed_by_lam(self, m):
+        # the invariant table has the count table's layout: column lam, with
+        # filler -1 at lam = 0, holds N at B = lam + 1 (A = 0 or 1, class A)
+        field = make_field(m)
+        for cls in (0, 1):
+            values = coset.invariants(field, cls)
+            assert values[0] == -1
+            for lam in range(1, field.q):
+                assert values[lam] == N_of(field, cls, lam ^ 1) == N_of_general(field, cls, lam ^ 1)
+
     def test_split_pair_identity(self, f5):
         # each completely splitting pair contributes 16 of the 24 N words
         for cls in (0, 1):

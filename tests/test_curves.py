@@ -321,7 +321,7 @@ class TestSplitCounts:
             for b in range(field.q):
                 if b != 1:
                     split = split_count("f1f2f3", curve_params(field, cls, b))
-                    assert 2 * split == 3 * values[b]
+                    assert 2 * split == 3 * values[b ^ 1]  # lam = B + 1
 
     @pytest.mark.parametrize("m", [5, 7])
     def test_interval_membership(self, m):

@@ -88,13 +88,15 @@ class TestBruteN:
         "m, modulus", [(5, None), (7, None), (9, None), (11, None), (11, 0x82B), (13, None)]
     )
     def test_rows_match_closed_form(self, m, modulus):
-        # rows A = 0, 1 against the curve-count invariant at every B != 1:
-        # the oracle behind the published m = 11, 13 tables and the profile
+        # rows A = 0, 1 (indexed by B) against the curve-count invariant
+        # (indexed by lam = B + 1) at every B != 1: the oracle behind the
+        # published m = 11, 13 tables and the profile
         field = make_field(m, modulus)
+        b = np.arange(1, field.q) ^ 1
         for cls in (0, 1):
             row, values = oracle.weight4_rows(field, (cls,))[0], coset.invariants(field, cls)
             assert row[1] == 0  # the degenerate lam = 0 carries no 4-set
-            assert np.array_equal(np.delete(row, 1), np.delete(values, 1))
+            assert np.array_equal(row[b], values[1:])
 
     def test_row_is_read_only(self, f5):
         with pytest.raises(ValueError):
@@ -357,13 +359,13 @@ class TestCoveringRadius:
         # the s1 = 1 slice is the (1, A, B) parameter plane: a weight-4
         # word with syndrome (1, A, B) exists iff that coset has weight <= 4.
         # N(A, B) is the normalized invariant of class Tr(A) at
-        # B + A^2 + A = lam + 1; lam = 0 (that index 1) is left out.
+        # lam = B + A^2 + A + 1; lam = 0 is left out.
         field = make_field(m)
         q = field.q
         plane = oracle._orbit_depths(field)[q * q :].reshape(q, q)
         a, b = np.arange(q)[:, None], np.arange(q)
-        shifted = b ^ power_table(field, 2)[a] ^ a
+        lam = b ^ power_table(field, 2)[a] ^ a ^ 1
         trace = np.array([field.trace(v) for v in range(q)])
-        values = np.stack([coset.invariants(field, cls) for cls in (0, 1)])[trace[a], shifted]
-        valid = shifted != 1
+        values = np.stack([coset.invariants(field, cls) for cls in (0, 1)])[trace[a], lam]
+        valid = lam != 0
         assert np.array_equal((values > 0)[valid], (plane <= 4)[valid])
