@@ -29,12 +29,13 @@ def _hex(value: int) -> str:
 
 
 def _parse_element(text: str) -> int:
-    try:
-        value = int(text, 16)
-        if value >= 0:  # int() takes a sign; no element or modulus has one
-            return value
-    except ValueError:
-        pass
+    # an optional 0x, then hex digits only: int(text, 16) alone would also
+    # take a sign, underscores, whitespace and non-ASCII digits
+    if text.isascii() and text.isalnum():
+        try:
+            return int(text, 16)
+        except ValueError:
+            pass
     raise argparse.ArgumentTypeError(f"not a hex element: {text!r}")
 
 
@@ -74,15 +75,7 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_gamma(args) -> dict:
-    report = coset.gamma_report(args.m, coset.load_gamma(args.gamma_file))
-    residual_nonzero = {str(l): r for l, r in report.residual.items() if r}
-    missing = [coset.GAMMA_BASE + 2 * l for l, c in report.histogram.items() if c == 0]
-    return {
-        "base_value": coset.GAMMA_BASE,
-        "histogram": {str(l): c for l, c in report.histogram.items()},
-        "residual_nonzero": residual_nonzero,
-        "missing_values": missing,
-    }
+    return asdict(coset.gamma_report(args.m, coset.load_gamma(args.gamma_file)))
 
 
 def _cmd_traces(args) -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import curves
 from .curves import DegenerateLambdaError, require_odd
-from .gf2m import FieldSpec, make_field
+from .gf2m import FieldSpec, _readonly, make_field
 
 
 @lru_cache(maxsize=None)
@@ -42,9 +42,7 @@ def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
     num = -6 * q - 2 + 8 * off + 2 * (2 * n1 + 2 * n3 + 3 * n5)
     if (num % 24).any() or (num < 0).any() or (num // 24 % 2).any():
         raise AssertionError("invariant left its lattice")
-    values = np.concatenate(([-1], num // 24), dtype=np.int64)
-    values.flags.writeable = False
-    return values
+    return _readonly(np.concatenate(([-1], num // 24), dtype=np.int64))
 
 
 def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
@@ -62,9 +60,7 @@ def N_of_general(field: FieldSpec, a: int, b: int) -> int:
     require_odd(field.m)  # before the elements, as for normalized A
     lam = curves.lambda_of(field, a, b)
     if lam == 0:
-        raise DegenerateLambdaError(
-            f"a=0x{a:x}, b=0x{b:x} give lam=0: the coset family degenerates into twelve lines"
-        )
+        raise DegenerateLambdaError(f"a=0x{a:x}, b=0x{b:x} give lam=0")
     return int(invariants(field, field.trace(a))[lam])
 
 
@@ -210,11 +206,14 @@ def bounds(m: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class GammaReport:
-    """Comparison of the q = 2^13 histogram against a reference profile:
-    histogram and residual are keyed by l with value = 290 + 2l."""
+    """Comparison of the q = 2^13 histogram against a reference profile, the
+    gamma command's payload: histogram and residual_nonzero are keyed by l
+    for the value N = GAMMA_BASE + 2l, and missing_values lists the N of
+    the window that never occur."""
 
     histogram: dict[int, int]
-    residual: dict[int, int]
+    residual_nonzero: dict[int, int]
+    missing_values: list[int]
 
 
 GAMMA_BASE = 290
@@ -222,21 +221,19 @@ GAMMA_LEN = 51
 
 
 def load_gamma(path=None) -> tuple[int, ...]:
-    """The 51-entry reference profile, one integer per line."""
+    """The reference profile, one integer per line; gamma_report checks
+    that it has GAMMA_LEN entries."""
     if path is None:
         text = resources.files("bch3").joinpath("data/gamma_q8192.txt").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
-    values = tuple(int(line) for line in text.split() if line.strip())
-    if len(values) != GAMMA_LEN:
-        raise ValueError(f"expected {GAMMA_LEN} profile entries, got {len(values)}")
-    return values
+    return tuple(int(line) for line in text.split())
 
 
 def gamma_report(m: int, gamma, table: DistributionTable | None = None) -> GammaReport:
-    """Histogram of the m = 13 run re-indexed by l, with residuals against
-    13 times the reference profile."""
+    """Histogram of the m = 13 run re-indexed by l, with its nonzero residuals
+    against 13 times the reference profile and the values it never takes."""
     if m != 13:
         raise ValueError("the profile comparison is defined for m = 13")
     gamma = tuple(int(g) for g in gamma)
@@ -250,7 +247,11 @@ def gamma_report(m: int, gamma, table: DistributionTable | None = None) -> Gamma
             raise ValueError(f"histogram key {value} outside the expected window")
         histogram[(value - GAMMA_BASE) // 2] = count
     residual = {ell: histogram[ell] - 13 * gamma[ell] for ell in range(GAMMA_LEN)}
-    return GammaReport(histogram=histogram, residual=residual)
+    return GammaReport(
+        histogram=histogram,
+        residual_nonzero={ell: r for ell, r in residual.items() if r},
+        missing_values=[GAMMA_BASE + 2 * ell for ell, count in histogram.items() if count == 0],
+    )
 
 
 def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, inverse_table, log_tables, power_table, trace_mul_table
+from .gf2m import FieldSpec, _readonly, inverse_table, log_tables, power_table, trace_mul_table
 
 # Coefficients of (n1', n3', n5) in split_count's sum over the subsets U.
 SUBSETS = {"f1f2": (2, 0, 1), "f3": (0, 1, 0), "f1f2f3": (2, 2, 3)}
@@ -38,7 +38,10 @@ SUBSETS = {"f1f2": (2, 0, 1), "f3": (0, 1, 0), "f1f2f3": (2, 2, 3)}
 
 class DegenerateLambdaError(ValueError):
     """Raised when lam = b + a^2 + a + 1 vanishes and the curve family
-    degenerates into a union of twelve lines."""
+    degenerates into a union of twelve lines; given names the input."""
+
+    def __init__(self, given: str = "lam=0"):
+        super().__init__(f"{given}: the curve degenerates into twelve lines")
 
 
 def lambda_of(field: FieldSpec, a: int, b: int) -> int:
@@ -157,8 +160,7 @@ def _count_table(field: FieldSpec) -> np.ndarray:
     if (sums & 1).any():
         raise AssertionError("character sums must match the count parity")
     sums >>= 1
-    sums.flags.writeable = False
-    return sums
+    return _readonly(sums)
 
 
 def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
@@ -173,7 +175,7 @@ def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
         raise ValueError("offset_bit must be 0 or 1")
     field._check(lam)
     if lam == 0:
-        raise DegenerateLambdaError("lam=0 has no associated curves")
+        raise DegenerateLambdaError()
     n = int(_count_table(field)[_ROW[i - 1], lam])
     return field.q - 1 - n if offset_bit else n
 
@@ -211,9 +213,7 @@ def _lam(field: FieldSpec, trace_class_a: int, b: int) -> int:
     _offset(field, trace_class_a)
     lam = field._check(b) ^ 1
     if lam == 0:
-        raise DegenerateLambdaError(
-            f"b=0x{b:x} gives lam=0: the curve degenerates into twelve lines"
-        )
+        raise DegenerateLambdaError(f"b=0x{b:x} gives lam=0")
     return lam
 
 
@@ -257,6 +257,13 @@ def curve_traces(params: CurveParams) -> TraceProfile:
     return TraceProfile(tuple(n), *traces)
 
 
+def _coefficients(subset: str) -> tuple[int, int, int]:
+    """SUBSETS[subset], refusing an unknown name."""
+    if subset not in SUBSETS:
+        raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
+    return SUBSETS[subset]
+
+
 def split_count(subset: str, params: CurveParams) -> int:
     """Number of pairs (x, 1/x), x not in {0, 1}, whose fibres split
     completely in every cover named by subset.
@@ -275,11 +282,9 @@ def split_count(subset: str, params: CurveParams) -> int:
     sum is (2 - w)(q - 1) + 2*sum(c*n').  x = 1, where every phi_i
     vanishes, is then taken out.
     """
-    if subset not in SUBSETS:
-        raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
+    c1, c3, c5 = _coefficients(subset)
     q = params.field.q
     off, n1, n3, n5 = _rows(params.field, params.trace_class_a, params.lam)
-    c1, c3, c5 = SUBSETS[subset]
     width = 1 + c1 + c3 + c5
     acc = (2 - width) * (q - 1) + 2 * (c1 * n1 + c3 * n3 + c5 * n5)
     if acc % width:
@@ -294,10 +299,10 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
     """Proven enclosure for split_count, when one exists (f1f2 and f3).
 
     Lower endpoints are clamped at zero; counts are nonnegative even when
-    the small-q formulas dip below it.  Unknown names fail as in split_count.
+    the small-q formulas dip below it.  Unknown names fail as in split_count,
+    before the degree or the class is checked.
     """
-    if subset not in SUBSETS:
-        raise ValueError(f"subset must be one of {sorted(SUBSETS)}, got {subset!r}")
+    _coefficients(subset)
     off = _offset(field, trace_class_a)
     q, t, s = _root_forms(field.m)
     if subset == "f1f2":
@@ -314,6 +319,4 @@ def n_counts_all(field: FieldSpec) -> np.ndarray:
     a read-only (7, q) expansion of the count table, made on each call.
     Column lam = 0 is filler.
     """
-    table = np.take(_count_table(field), _ROW, axis=0)
-    table.flags.writeable = False
-    return table
+    return _readonly(np.take(_count_table(field), _ROW, axis=0))

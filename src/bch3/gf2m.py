@@ -295,11 +295,10 @@ def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def power_table(field: FieldSpec, k: int) -> np.ndarray:
     """table[x] = x^k for every element x, as a read-only int64 array."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
+    zero = field.pow(0, k)  # first: pow refuses k < 0 before any table is read
     exp, log = log_tables(field)
     table = exp[log * (k % (field.q - 1)) % (field.q - 1)]
-    table[0] = field.pow(0, k)
+    table[0] = zero
     return _readonly(table)
 
 

@@ -77,9 +77,11 @@ def test_criterion_4_table_q2048():
 def test_criterion_5_gamma_q8192():
     with criterion(5, "q=2^13 residuals are 1 at l=11,37 and 0 elsewhere, under 5 min"):
         table, elapsed = cold_distribution(13)
-        report = coset.gamma_report(13, coset.load_gamma(), table=table)
-        for ell in range(51):
-            assert report.residual[ell] == (1 if ell in (11, 37) else 0)
+        gamma = coset.load_gamma()
+        report = coset.gamma_report(13, gamma, table=table)
+        assert report.residual_nonzero == {11: 1, 37: 1}
+        for ell in range(51):  # the residual is 0 at every l it does not list
+            assert report.histogram[ell] - 13 * gamma[ell] == report.residual_nonzero.get(ell, 0)
         for value in (292, 296, 300, 386):
             assert report.histogram[(value - 290) // 2] == 0
         assert elapsed < 300.0

@@ -10,6 +10,8 @@ import pytest
 
 from bch3 import cli, gf2m
 
+PACKAGED_GAMMA = Path(cli.__file__).parent / "data" / "gamma_q8192.txt"
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -291,7 +293,13 @@ class TestFormatsAndErrors:
     def test_domain_error_exit_one(self, capsys):
         assert cli.main(["nab", "--m", "5", "--tr-a", "0", "--b", "0x01"]) == 1
         err = capsys.readouterr().err
-        assert "twelve lines" in err
+        assert err == "error: b=0x1 gives lam=0: the curve degenerates into twelve lines\n"
+
+    def test_general_degenerate_pair_exit_one(self, capsys):
+        # the same wording as for a normalized A, naming both inputs
+        assert cli.main(["nab", "--m", "5", "--a", "0x0", "--b", "0x1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a=0x0, b=0x1 give lam=0: the curve degenerates into twelve lines\n"
 
     def test_even_m_exit_one(self, capsys):
         assert cli.main(["table", "--m", "6"]) == 1
@@ -444,11 +452,17 @@ class TestFormatsAndErrors:
             (["nab", "--m", "5", "--b", "0x0"], "--a", "-0x3"),
             (["traces", "--m", "5"], "--b", "-0x1"),
             (["split", "--m", "5", "--subset", "f3"], "--b", "-0x2"),
+            (["nab", "--m", "5", "--tr-a", "0"], "--b", "-0x0"),
+            (["nab", "--m", "5", "--tr-a", "0"], "--b", "+0x4"),
+            (["nab", "--m", "5", "--tr-a", "0"], "--b", "0x_4"),
+            (["nab", "--m", "5", "--tr-a", "0"], "--b", " 4"),
+            (["field", "--m", "5"], "--modulus", "+0x25"),
         ],
-        ids=["nab-b", "nab-a", "traces-b", "split-b"],
+        ids=["nab-b", "nab-a", "traces-b", "split-b", "minus-zero", "plus", "underscore", "space", "plus-modulus"],
     )
     def test_negative_hex_is_a_usage_error(self, capsys, argv, flag, text):
-        # int(text, 16) takes a sign, and no element has one: a usage error
+        # an element is an optional 0x and hex digits only: int(text, 16)
+        # would also take a sign, underscores and surrounding whitespace
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, f"{flag}={text}"])
         assert exc.value.code == 2
@@ -576,6 +590,23 @@ class TestFormatsAndErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: BFS layers hold")
         assert "Traceback" not in captured.err
+
+    def test_gamma_file_with_the_packaged_profile(self, capsys, tmp_path):
+        copy = tmp_path / "gamma.txt"
+        copy.write_bytes(PACKAGED_GAMMA.read_bytes())
+        code, default = run_json(capsys, "gamma", "--m", "13")
+        assert code == 0
+        code, given = run_json(capsys, "gamma", "--m", "13", "--gamma-file", str(copy))
+        assert code == 0
+        assert given["payload"] == default["payload"]
+
+    def test_short_gamma_file_exit_one(self, capsys, tmp_path):
+        short = tmp_path / "gamma.txt"
+        short.write_text("".join(PACKAGED_GAMMA.read_text().splitlines(keepends=True)[:50]))
+        assert cli.main(["gamma", "--m", "13", "--gamma-file", str(short)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected 51 profile entries, got 50\n"
 
     def test_unreadable_gamma_file_exit_one(self, capsys, tmp_path):
         assert cli.main(["gamma", "--m", "13", "--gamma-file", str(tmp_path)]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import random
@@ -69,6 +70,16 @@ class TestNOf:
             assert values[0] == -1
             for lam in range(1, field.q):
                 assert values[lam] == N_of(field, cls, lam ^ 1) == N_of_general(field, cls, lam ^ 1)
+
+    def test_lattice_gate_fires(self, monkeypatch):
+        # row n1 two up at one lam moves 24N by 8, off the lattice
+        field = make_field(7)
+        perturbed = curves._count_table(field).copy()
+        perturbed[0, 7] += 2
+        monkeypatch.setattr(curves, "_count_table", lambda field: perturbed)
+        for cls in (0, 1):
+            with pytest.raises(AssertionError, match="^invariant left its lattice$"):
+                coset.invariants.__wrapped__(field, cls)
 
     def test_split_pair_identity(self, f5):
         # each completely splitting pair contributes 16 of the 24 N words
@@ -180,6 +191,14 @@ class TestDistribution:
 
         monkeypatch.setattr(coset, "invariants", perturbed)
         with pytest.raises(AssertionError, match="first moment"):
+            distribution(7)
+
+    def test_interval_gate_fires(self, monkeypatch):
+        # the m = 7 table holds N = 0, which an interval from 2 must refuse
+        report = bounds(7)
+        narrowed = dataclasses.replace(report, refined_even=(2, report.refined_even[1]))
+        monkeypatch.setattr(coset, "bounds", lambda m: narrowed)
+        with pytest.raises(AssertionError, match="^a value escaped the proven interval$"):
             distribution(7)
 
     def test_keys_even_and_bounded(self):
@@ -336,7 +355,7 @@ class TestGammaReport:
             gamma_report(11, [0] * 51)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expected 51 profile entries, got 50$"):
             gamma_report(13, [0] * 50)
 
     def test_key_window_enforced(self):
@@ -345,9 +364,12 @@ class TestGammaReport:
             gamma_report(13, [0] * 51, table=fake)
 
     def test_residual_structure(self):
-        report = gamma_report(13, load_gamma())
-        assert {l for l, r in report.residual.items() if r} == {11, 37}
-        assert report.residual[11] == 1 and report.residual[37] == 1
+        gamma = load_gamma()
+        report = gamma_report(13, gamma)
+        assert report.residual_nonzero == {11: 1, 37: 1}
+        for ell in range(51):  # the residual is 0 at every l it does not list
+            assert report.histogram[ell] - 13 * gamma[ell] == report.residual_nonzero.get(ell, 0)
+        assert report.missing_values == [292, 296, 300, 386]
         assert report.histogram[0] == 13
         assert sum(report.histogram.values()) == 2 * ((1 << 13) - 1)
         for value in (292, 296, 300, 386):

@@ -120,10 +120,17 @@ class TestPhiEval:
 
 class TestCounts:
     def test_rejects_degenerate(self, f5):
-        with pytest.raises(DegenerateLambdaError):
+        with pytest.raises(DegenerateLambdaError, match="^lam=0: the curve degenerates into twelve lines$"):
             n_count(f5, 1, 0, 0)
         with pytest.raises(DegenerateLambdaError):
             g_count(f5, 0)
+
+    def test_rejects_bad_index_and_offset(self, f5):
+        for i in (0, 8):
+            with pytest.raises(ValueError, match=f"^function index must be in 1..7, got {i}$"):
+                n_count(f5, i, 1, 0)
+        with pytest.raises(ValueError, match="^offset_bit must be 0 or 1$"):
+            n_count(f5, 1, 1, 2)
 
     def test_matches_slow_reference_everywhere(self, f5):
         for lam in range(1, f5.q):
@@ -288,6 +295,20 @@ class TestSplitCounts:
             with pytest.raises(ValueError) as interval_error:
                 split_interval("f5", field, cls)
             assert str(interval_error.value) == str(count_error.value)
+
+    @pytest.mark.parametrize("bump, message", [(1, "^inclusion-exclusion must give"), (2, "^split set must pair up")])
+    def test_whole_count_gates_fire(self, f5, monkeypatch, bump, message):
+        # f1f2 sums (2 - 4)(q - 1) + 2(2 n1' + n5) over width 4: n5 one up
+        # leaves a remainder, two up gives a whole but odd pair count
+        rows = curves._rows
+
+        def bumped(*args):
+            off, n1, n3, n5 = rows(*args)
+            return off, n1, n3, n5 + bump
+
+        monkeypatch.setattr(curves, "_rows", bumped)
+        with pytest.raises(AssertionError, match=message):
+            split_count("f1f2", curve_params(f5, 0, 0))
 
     def test_direct_enumeration(self, f5):
         # every valid b at m = 5, both classes: the exact reference for the

@@ -340,6 +340,16 @@ class TestArrayKernel:
         with pytest.raises(ValueError):
             power_table(f5, -1)
 
+    def test_negative_exponent_refused_before_any_table(self, f5, monkeypatch):
+        # FieldSpec.pow owns the refusal; power_table asks it first
+        def refuse(field):
+            raise LookupError("log_tables was read")
+
+        monkeypatch.setattr(gf2m, "log_tables", refuse)
+        for call in (lambda: power_table(f5, -1), lambda: f5.pow(2, -1)):
+            with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+                call()
+
     def test_tables_are_read_only(self, f5):
         with pytest.raises(ValueError):
             power_table(f5, 3)[2] = 0

@@ -98,6 +98,15 @@ class TestBruteN:
             assert row[1] == 0  # the degenerate lam = 0 carries no 4-set
             assert np.array_equal(row[b], values[1:])
 
+    def test_evenness_gate_fires(self, f5, monkeypatch):
+        # the drift t + t^4 one bit off at t = 1 moves some base sets and
+        # not the others that meet the same 4-set
+        fourth = power_table(f5, 4).copy()
+        fourth[1] ^= 1
+        monkeypatch.setattr(oracle, "power_table", lambda field, k: fourth if k == 4 else power_table(field, k))
+        with pytest.raises(AssertionError, match="^row counts must be even"):
+            oracle.weight4_rows.__wrapped__(f5, (0,))
+
     def test_row_is_read_only(self, f5):
         with pytest.raises(ValueError):
             oracle.weight4_rows(f5, (1,))[0][0] = 1
@@ -139,6 +148,15 @@ class TestBruteN:
         q = 1 << m
         expected = (comb(q, 4) - q * (q - 1) * (q - 2) // 24) // (q - 1)
         assert int(oracle.weight4_histogram(make_field(m)).sum()) == expected
+
+    def test_histogram_refuses_q_above_512(self, monkeypatch):
+        # before any row is read: the flat view would hold q^2 entries
+        def refuse(field, avals):
+            raise LookupError("weight4_rows was called")
+
+        monkeypatch.setattr(oracle, "weight4_rows", refuse)
+        with pytest.raises(ValueError, match="^q=1024 is too large for the full histogram \\(limit 512\\)$"):
+            oracle.weight4_histogram(make_field(10))
 
     def test_histogram_is_read_only(self, f5):
         with pytest.raises(ValueError):
