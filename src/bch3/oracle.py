@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .gf2m import FieldSpec, _readonly, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 13
-_CHUNK = 1 << 14  # BFS neighbours, orbit members or table entries per numpy pass, cache-sized
+_CHUNK = 1 << 14  # BFS neighbours, labelled states or table entries per numpy pass, cache-sized
 _SETS_CHUNK = 1 << 15  # base sets per block of the weight-4 oracle, at most: 256 KB int64 blocks
 
 
@@ -137,34 +138,53 @@ def _scaling(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _orbit_labels(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """(label, listed): label[t] = the least state in the orbit of state t, an int32
     table over the 2q^2 states of _orbit_depths, and the sorted states that are their
-    own label.  One pass: each unlabelled state's orbit is listed whole, one part per
-    Frobenius conjugate, its least member is written to every member, and each batch
-    row that is that least is kept (see docs/covering_radius_bfs.md)."""
+    own label.  Closed form, with no orbit listed: a few tables of O(q) entries give
+    each state's least member in one gather (see docs/covering_radius_bfs.md)."""
     m, q, n = field.m, field.q, field.q - 1
-    scaled, scaled_hi, log_of = _scaling(field)
-    k3, k5 = (e * np.arange(n) % n for e in (3, 5))
-    conjugates = np.arange(q)[:, None].repeat(m, axis=1)  # column i: x^(2^i)
+    scaled, _, log_of = _scaling(field)
+    elements = np.arange(q)
+    conj = np.empty((m, q), dtype=np.int64)  # conj[i, v] = v^(2^i)
+    conj[0] = elements
     for i in range(1, m):
-        conjugates[:, i] = power_table(field, 2)[conjugates[:, i - 1]]
-    label = np.full(2 * q * q, -1, dtype=np.int32)  # -1: unlabelled
+        conj[i] = power_table(field, 2)[conj[i - 1]]
+    # s1 = 1: a's least conjugate a*, first at i*, recurs every p steps, p the Frobenius
+    # period of a, so b* = min over j of conj[i* + j p, b], row row_of[p] + i* of least_b
+    divisors = [p for p in range(1, m + 1) if m % p == 0]
+    least_b = np.stack([conj[i::p].min(axis=0) for p in divisors for i in range(p)])
+    row_of = np.zeros(m + 1, dtype=np.int64)
+    row_of[divisors] = np.cumsum([0, *divisors[:-1]])
+    period = np.argmax(np.roll(conj, -1, axis=0) == elements, axis=0) + 1
+    key = row_of[period] + conj.argmin(axis=0)
+    high = q * q | conj.min(axis=0) << m  # (1, a*, 0)
+    # s1 = 0, a != 0: c^3 a is least, rep[r] for a's cube coset r, at c = c_a z for the
+    # d3 cube roots of unity z; lowest[log b + shift[a]] is the least of those c^5 b,
+    # so (a, b)'s scaling orbit has the point (r, v) and least member rep[r] << m | v
+    d3, d5 = gcd(3, n), gcd(5, n)
+    rep = scaled[:n].reshape(-1, d3).min(axis=0)
+    coset = log_of % d3
+    shift = 5 * ((log_of[rep][coset] - log_of) % n // d3 * pow(3 // d3, -1, n // d3)) % n
+    lowest = np.concatenate([np.tile(scaled[:n].reshape(d3, -1).min(axis=0), 2 * d3), 0 * scaled[:n]])
+    # Frobenius moves the points: least[r, v] = the least rep[r'] << m | v' over the m iterates
+    iterates = (rep[coset[a], None] << m | lowest[log_of[b] + shift[a, None]] for a, b in zip(conj[:, rep], conj))
+    least = reduce(np.minimum, iterates)[:, lowest].ravel()  # read at r * 3n + log b + shift[a]
+    offset = coset * 3 * n + shift
+    # a = 0: c^5 b runs over b's coset of the fifth powers, Frobenius doubles its index mod d5
+    zero_row = scaled[:n].reshape(-1, d5).min(axis=0)[log_of[conj] % d5].min(axis=0)
+    zero_row[0] = 0
+    label = np.empty(2 * q * q, dtype=np.int32)
     listed = array("q")  # int64, one growing buffer: many small arrays would fragment the heap
-    span = min(_CHUNK, q * q)  # no block straddles the two slices
-    for lo in range(0, 2 * q * q, span):
-        plain = lo < q * q
-        rows = max(1, _CHUNK // (m * n if plain else m))
-        block = lo + np.flatnonzero(label[lo : lo + span] < 0)
-        while len(block := block[label[block] < 0]):
-            first = block[:rows]
-            a, b = conjugates[first >> m & n], conjugates[first & n]  # (rows, m)
-            if plain:  # per conjugate (a', b'), its scaling orbit (0, c^3 a', c^5 b')
-                a, b = log_of[a.T, None], log_of[b.T, None]
-                parts = [scaled_hi[x + k3] | scaled[y + k5] for x, y in zip(a, b)]
-            else:  # the conjugates (1, a', b') alone
-                parts = [q * q | a << m | b]
-            least = np.min([part.min(axis=1) for part in parts], axis=0)
-            for part in parts:
-                label[part] = least[:, None]
-            listed.frombytes(first[least == first].tobytes())
+    rows = max(1, _CHUNK // q)
+    for s1 in (0, 1):
+        for lo in range(0, q, rows):
+            at = slice(lo, lo + rows)
+            code = least_b[key[at]] | high[at, None] if s1 else least[offset[at, None] + log_of]
+            if s1 == lo == 0:
+                code[0] = zero_row
+            start = s1 * q * q + lo * q
+            label[start : start + code.size] = code.ravel()
+            if (code[:, 0] >> m == s1 * q + elements[at]).any():  # only rows whose labels keep their (s1, a)
+                own = np.flatnonzero(code.ravel() == np.arange(start, start + code.size))
+                listed.frombytes((start + own).tobytes())
     return label, np.frombuffer(listed, dtype=np.int64)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
@@ -18,10 +19,10 @@ cached_report = lru_cache(maxsize=None)(covering_radius)
 
 LAYERS_M10 = (1, 1023, 522753, 177910271, 893909676, 1398100)
 LAYERS_M11 = (1, 2047, 2094081, 1427465215, 7154780844, 5592404)
-# m = 12 and 13 take about 3 and 13 s, too long for the suite; the runs are recorded in the doc
 LAYERS_M12 = (1, 4095, 8382465, 11436476415, 57252244140, 22369620)
+# m = 13 takes about 3 s and 800 MB, too much for the suite; its run is recorded in the doc
 LAYERS_M13 = (1, 8191, 33542145, 91558875135, 458073909932, 89478484)
-RECORDED = {12: LAYERS_M12, 13: LAYERS_M13}
+RECORDED = {13: LAYERS_M13}
 BFS_DOC = Path(__file__).parents[1] / "docs" / "covering_radius_bfs.md"
 
 
@@ -40,6 +41,30 @@ def translated_syndrome(field, a: int, b: int, s: int) -> tuple[int, int]:
     s2 = field.square(s)
     s4 = field.square(s2)
     return a ^ s ^ s2, b ^ s ^ s4
+
+
+def orbit_period(field, a: int) -> int:
+    """Least p >= 1 with a^(2^p) = a."""
+    p, x = 1, field.square(a)
+    while x != a:
+        p, x = p + 1, field.square(x)
+    return p
+
+
+def listed_orbit_least(field, s1: int, a: int, b: np.ndarray) -> np.ndarray:
+    """Least state s1 << 2m | a' << m | b' in the orbit of each state (s1, a, b[k]),
+    its whole orbit listed: the Frobenius conjugates (a^(2^i), b^(2^i)), and on the
+    s1 = 0 slice their scaling orbits (c^3 a', c^5 b') over every c != 0."""
+    m, q = field.m, field.q
+    c = np.ones(1, dtype=np.int64) if s1 else np.arange(1, q)  # (1, a, b) stands for its scalings
+    c3 = mul_array(field, mul_array(field, c, c), c)
+    c5 = mul_array(field, mul_array(field, c3, c), c)
+    least = np.full(len(b), 2 * q * q)
+    for _ in range(m):
+        members = s1 * q * q | (mul_array(field, c3, a) << m)[:, None] | mul_array(field, c5[:, None], b)
+        least = np.minimum(least, members.min(axis=0))
+        a, b = field.square(a), mul_array(field, b, b)
+    return least
 
 
 class TestSyndromeTriple:
@@ -235,12 +260,43 @@ class TestOrbitLabels:
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10])
     def test_listed_labels_are_the_states_that_are_their_own_label(self, m):
-        # the label pass lists each orbit once, from its scan order alone:
-        # against a rescan of the whole table for the states that are their own label
+        # the label pass keeps, block by block, the states that equal their
+        # label: against a rescan of the whole table for the states that are their own label
         q = 1 << m
         label, listed = oracle._orbit_labels(make_field(m))
         assert listed.dtype == np.int64
         assert np.array_equal(listed, np.flatnonzero(label == np.arange(2 * q * q)))
+
+    def test_sampled_labels_are_least_of_listed_orbits_m12(self):
+        # m = 12 is the first m where the cube and fifth-power cosets (3 and 5
+        # of them) and the subfields F_4, F_8, F_16 and F_64 all occur; the
+        # exhaustive checks above stop at m = 10.  Each sampled state's orbit is
+        # listed whole, with shift-and-reduce products
+        m = 12
+        field = make_field(m)
+        q = field.q
+        label = oracle._orbit_labels(field)[0]
+        rng = np.random.default_rng(12)
+        periods = [next(a for a in range(1, q) if orbit_period(field, a) == d) for d in (1, 2, 3, 4, 6)]
+        everything = np.arange(q)
+        sampled = np.append([0, 1], rng.integers(2, q, 14))  # b = 0 on every row
+        for a in [0, *periods, *rng.integers(2, q, 8)]:
+            assert np.array_equal(label[q * q + a * q + everything], listed_orbit_least(field, 1, a, everything))
+            assert np.array_equal(label[a * q + sampled], listed_orbit_least(field, 0, a, sampled))
+
+    def test_label_build_holds_no_q_squared_temporary(self):
+        # every table the build makes has O(q) entries, and every block
+        # _CHUNK: at m = 10 its peak stays within its output and 4 MB, where
+        # one int64 temporary over the q^2 states of a slice would take 8 MB
+        field = make_field(10)
+        oracle._orbit_labels(field)  # the per-field caches it reads, outside the measure
+        tracemalloc.start()
+        try:
+            label, listed = oracle._orbit_labels(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= label.nbytes + listed.nbytes + (4 << 20)
 
     def test_each_table_is_built_once(self, monkeypatch):
         # a field no cache has seen, so every per-field table is built in this test
@@ -302,6 +358,12 @@ class TestCoveringRadius:
         assert report.rho == 5
         assert report.reached_at_weight == (1, 255, 32385, 2731135, 13926060, 87380)
 
+    def test_m12_layers_pinned(self):
+        # the largest even m in the suite: about 1 s and 220 MB
+        report = cached_report(12)
+        assert report.rho == 5
+        assert report.reached_at_weight == LAYERS_M12
+
     def test_m10_layers_pinned(self):
         # beyond the full-group BFS; the low layers are checked below
         report = cached_report(10)
@@ -321,7 +383,7 @@ class TestCoveringRadius:
 
     def test_m12_m13_layers_recorded_in_doc(self):
         text = BFS_DOC.read_text()
-        for m, layers in RECORDED.items():
+        for m, layers in {12: LAYERS_M12, 13: LAYERS_M13}.items():
             assert f"m = {m}: {layers}, sum 2^{3 * m}." in text
             assert sum(layers) == 1 << 3 * m
 
