@@ -124,8 +124,17 @@ def _cmd_verify(args) -> dict:
     return payload
 
 
+_COVERING_RANGE = f"odd 5 <= m <= {coset.BOUNDS_MAX_M} and even 4 <= m <= {oracle.BFS_MAX_M}"
+
+
 def _cmd_covering_radius(args) -> dict:
-    return asdict(oracle.covering_radius(args.m))
+    m = args.m
+    if m % 2 and 5 <= m <= coset.BOUNDS_MAX_M:
+        layers = coset.covering_layers(m)
+        return {"m": m, "rho": len(layers) - 1, "reached_at_weight": layers, "method": "closed_form"}
+    if m % 2 == 0 and 4 <= m <= oracle.BFS_MAX_M:
+        return {**asdict(oracle.covering_radius(m)), "method": "bfs"}
+    raise ValueError(f"covering-radius covers {_COVERING_RANGE}, got m={m}")
 
 
 class DomainFailure(Exception):
@@ -204,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every run is exhaustive; the flag is accepted for existing callers
     p.add_argument("--exhaustive", action="store_true")
 
-    bfs_help = f"exact covering radius by syndrome BFS (4 <= m <= {oracle.BFS_MAX_M})"
+    bfs_help = f"exact covering radius, in closed form at odd m and by syndrome BFS at even m: {_COVERING_RANGE}"
     add("covering-radius", _cmd_covering_radius, modulus=False, help=bfs_help)
 
     return parser

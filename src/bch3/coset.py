@@ -25,7 +25,7 @@ import numpy as np
 
 from . import curves
 from .curves import DegenerateLambdaError, require_odd
-from .gf2m import FieldSpec, _readonly, make_field
+from .gf2m import FieldSpec, _readonly, log_tables, make_field, power_table
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +155,10 @@ def flat_pairs(m: int) -> int:
     return (q - 1) * (q - 2) // 6 * (q // 4) * (q // 4 - 1)
 
 
+# Largest m of bounds, and so of covering_layers: past it the Weil endpoints overflow a double.
+BOUNDS_MAX_M = 1027
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """The three value enclosures for one q: the plain genus bound scaled
@@ -176,8 +180,7 @@ def _even_ceil(num: int, den: int) -> int:
 
 def bounds(m: int) -> BoundReport:
     """All three enclosures for 2^m, in exact integer arithmetic from q,
-    t = floor(2*sqrt(q)) and s = 2*sqrt(2q).  Past m = 1027 the Weil
-    endpoints overflow a double.
+    t = floor(2*sqrt(q)) and s = 2*sqrt(2q), for odd m up to BOUNDS_MAX_M.
 
     weil: the genus-13 point-count bound scaled to the invariant, clamped
     at 0.  refined_even: the even integers admissible under the refined
@@ -190,8 +193,8 @@ def bounds(m: int) -> BoundReport:
     the rounding is exact for every m.
     """
     require_odd(m)
-    if not 3 <= m <= 1027:
-        raise ValueError(f"bounds need 3 <= m <= 1027, got m={m}")
+    if not 3 <= m <= BOUNDS_MAX_M:
+        raise ValueError(f"bounds need 3 <= m <= {BOUNDS_MAX_M}, got m={m}")
     q, t, s = curves._root_forms(m)
     return BoundReport(
         q=q,
@@ -202,6 +205,80 @@ def bounds(m: int) -> BoundReport:
             _even_ceil(q + 4 * t + s + 14 + 6, 24),
         ),
     )
+
+
+def covering_layers(m: int) -> tuple[int, ...]:
+    """Syndromes per coset weight 0..5 at odd m from 5 to BOUNDS_MAX_M, from the
+    invariant table and no syndrome search (docs/covering_radius_bfs.md).
+
+    With Z the number of (class, lam != 0) pairs with N = 0, the layers
+    are 1, q - 1, C(q - 1, 2), C(q - 1, 3), the remainder, and
+    L5 = (q - 1)(q/2)(1 + Z) + q^2 - 1 - (q - 1)(q - 2)/6, once every
+    state is at depth <= 5.  At m >= 9 the refined interval, whose lower
+    end must be positive, proves Z = 0 and depth <= 5, and no field is
+    built; at m = 5 and 7 _depth_five_certificate reads Z and proves
+    depth <= 5 from the table.
+    """
+    require_odd(m)
+    if not 5 <= m <= BOUNDS_MAX_M:
+        raise ValueError(f"the covering layers need odd 5 <= m <= {BOUNDS_MAX_M}, got m={m}")
+    q = 1 << m
+    if m < 9:
+        zero = _depth_five_certificate(make_field(m))
+    elif bounds(m).refined_even[0] > 0:
+        zero = 0
+    else:
+        raise AssertionError(f"the refined interval admits N = 0 at m={m}, so Z = 0 is unproven")
+    low = tuple(math.comb(q - 1, k) for k in range(4))
+    last = (q - 1) * (q // 2) * (1 + zero) + q * q - 1 - (q - 1) * (q - 2) // 6
+    return (*low, q**3 - sum(low) - last, last)
+
+
+def _depth_five_certificate(field: FieldSpec) -> int:
+    """Z for one field, once every state the layer argument leaves at
+    depth >= 5 has a neighbour of depth <= 4; raises where one has none.
+
+    Those states are the s1 = 0 states other than 0, the normal forms
+    (1, A, B) with lam != 0 and N = 0, and those with lam = 0 and
+    Tr A = 0.  A neighbour has depth <= 4 when it is a normal form with
+    lam != 0 and N > 0.  The step by x = 1 from (0, a, b) is
+    (1, a + 1, b + 1) with no rescaling, one read per state.  The s1 = 0
+    states it leaves open and the s1 = 1 states then try x = 2, 3, ...
+    in turn, each x on the states still open; the step from (s1, a, b)
+    is (1, c^3 (a + x^3), c^5 (b + x^5)) with c = 1/(s1 + x).
+    """
+    m, q, n = field.m, field.q, field.q - 1
+    values = np.concatenate([invariants(field, 0), invariants(field, 1)])  # at Tr A << m | lam
+    elements = trace = power = np.arange(q)
+    square = power_table(field, 2)
+    for _ in range(m - 1):  # Tr v = v + v^2 + ... + v^(2^(m - 1))
+        power = square[power]
+        trace = trace ^ power
+    key = trace << m | square ^ elements ^ 1  # N(A, B) = values[key[A] ^ B]
+    near = values > 0  # the normal forms of depth 3 or 4; lam = 0 holds -1
+    deep = values == 0  # and those left at depth >= 5: N = 0 ...
+    zero = int(np.count_nonzero(deep))
+    deep[0] = True  # ... or lam = 0 and Tr A = 0
+    left = np.stack([~near[key[elements ^ 1, None] ^ elements ^ 1], deep[key[:, None] ^ elements]])
+    left[0, 0, 0] = False  # the root
+    s1, a, b = np.nonzero(left)
+    # scaled[log_of[v] + k] = v g^k: exp twice over, then a zero block that log_of[0] points into
+    exp, log = log_tables(field)
+    scaled = np.concatenate([exp, exp, 0 * exp])
+    log_of = np.append(2 * n, log[1:])
+    inv3, inv5 = -3 * log % n, -5 * log % n  # the logs of c^3 and c^5 at c = 1/s
+    cube, fifth = power_table(field, 3), power_table(field, 5)
+    x = 1
+    while len(s1):
+        x += 1
+        if x == q:
+            raise AssertionError(f"state ({s1[0]}, 0x{a[0]:x}, 0x{b[0]:x}) has no neighbour of depth <= 4")
+        s = s1 ^ x
+        big_a = scaled[log_of[a ^ cube[x]] + inv3[s]]
+        big_b = scaled[log_of[b ^ fifth[x]] + inv5[s]]
+        stay = ~near[key[big_a] ^ big_b]
+        s1, a, b = s1[stay], a[stay], b[stay]
+    return zero
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ mul_array (shift-and-reduce products over whole arrays) stands behind
 the constant multiplier of the field tables, and f2_rank_by_loop,
 full_group_bfs_layers and weight4_histogram_by_triples do the same for
 the group order, the orbit BFS and the translation-orbit histogram of
-the oracle.  dual_weights_by_enumeration and weight4_histogram_by_triples
+the oracle, and invariants_emptied_around steps one syndrome state by
+scalar products against the depth certificate of coset.covering_layers.
+dual_weights_by_enumeration and weight4_histogram_by_triples
 at sum 0 stand behind the two closed forms of the second-moment gate.
 """
 
@@ -153,6 +155,29 @@ def full_group_bfs_layers(m: int) -> tuple[int, ...]:
         visited |= new
         frontier = np.flatnonzero(new)
         layers.append(len(frontier))
+
+
+def invariants_emptied_around(invariants, field: FieldSpec, state: tuple[int, int, int]):
+    """A stand-in for coset.invariants that reads N = 0 at every (Tr A', lam')
+    with lam' != 0 reached from the syndrome state (s1, a, b) by one step
+    (s1 + x, a + x^3, b + x^5) scaled to its normal form (1, A', B'): scalar
+    field products, one x at a time.  In its table the state has no
+    neighbour of depth <= 4."""
+    s1, a, b = state
+    slots = set()
+    for x in range(1, field.q):
+        if s1 ^ x:
+            c = field.inv(s1 ^ x)
+            big_a = field.mul(field.pow(c, 3), a ^ field.pow(x, 3))
+            big_b = field.mul(field.pow(c, 5), b ^ field.pow(x, 5))
+            slots.add((trace_by_definition(field, big_a), big_b ^ field.mul(big_a, big_a) ^ big_a ^ 1))
+
+    def emptied(f, cls):
+        values = invariants(f, cls).copy()
+        values[[lam for c, lam in slots if c == cls and lam]] = 0
+        return values
+
+    return emptied
 
 
 def weight4_histogram_by_triples(field: FieldSpec, total: int = 1) -> np.ndarray:

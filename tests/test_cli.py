@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bch3 import cli, gf2m
+from conftest import invariants_emptied_around
 
 PACKAGED_GAMMA = Path(cli.__file__).parent / "data" / "gamma_q8192.txt"
 
@@ -173,6 +174,27 @@ class TestCommands:
         assert code == 0
         assert report["payload"]["rho"] == 5
 
+    def test_covering_radius_closed_form(self, capsys):
+        code, report = run_json(capsys, "covering-radius", "--m", "15")
+        assert code == 0
+        assert report["modulus"] == "0x8003"
+        layers = list(cli.coset.covering_layers(15))
+        assert report["payload"] == {"m": 15, "rho": 5, "reached_at_weight": layers, "method": "closed_form"}
+
+    def test_covering_radius_past_the_field_tables(self, capsys):
+        # no field of degree 25 is built, so the envelope's modulus is null
+        code, report = run_json(capsys, "covering-radius", "--m", "25")
+        assert code == 0
+        assert report["modulus"] is None
+        assert report["payload"]["method"] == "closed_form"
+
+    @pytest.mark.parametrize("m, method", [(6, "bfs"), (13, "closed_form")])
+    def test_covering_radius_method_by_parity(self, capsys, m, method):
+        # m = 13 is in the search's range, but odd m take the closed form
+        code, report = run_json(capsys, "covering-radius", "--m", str(m))
+        assert code == 0
+        assert report["payload"]["method"] == method
+
 
 # the two trace classes of `traces --m 5 --b 0x0`, as JSON and as TSV rows
 TRACES_M5_B0 = [
@@ -219,8 +241,8 @@ class TestPayloadBytes:
         "covering-radius": (
             ["covering-radius", "--m", "4"],
             "covering-radius", 4, "0x13",
-            '{"m": 4, "rho": 5, "reached_at_weight": [1, 15, 105, 455, 420, 28]}',
-            "m\t4\nrho\t5\nreached_at_weight\t1,15,105,455,420,28\n",
+            '{"m": 4, "rho": 5, "reached_at_weight": [1, 15, 105, 455, 420, 28], "method": "bfs"}',
+            "m\t4\nrho\t5\nreached_at_weight\t1,15,105,455,420,28\nmethod\tbfs\n",
         ),
     }
 
@@ -571,25 +593,37 @@ class TestFormatsAndErrors:
         assert captured.err == "error: Unable to allocate 96.0 MiB for an array\n"
 
     def test_covering_radius_beyond_range_exit_one(self, capsys):
-        assert cli.main(["covering-radius", "--m", str(cli.oracle.BFS_MAX_M + 1)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert f"4 <= m <= {cli.oracle.BFS_MAX_M}" in lines[0]
-        assert "Traceback" not in captured.err
+        # one rule for the whole command: odd m in closed form up to the
+        # range of bounds, even m by the BFS up to its table limit
+        rule = f"odd 5 <= m <= {cli.coset.BOUNDS_MAX_M} and even 4 <= m <= {cli.oracle.BFS_MAX_M}"
+        for m in (3, 14, 1029):
+            assert cli.main(["covering-radius", "--m", str(m)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: covering-radius covers {rule}, got m={m}\n"
 
     def test_failed_internal_check_exit_one(self, capsys, monkeypatch):
         # the BFS group-size check fires for real: the search is asked for
-        # one syndrome more than the group holds
+        # one syndrome more than the group holds.  Even m: odd m takes the
+        # closed form and runs no search
         group_order = cli.oracle._group_order
         monkeypatch.setattr(cli.oracle, "_group_order", lambda field: group_order(field) + 1)
-        assert cli.main(["covering-radius", "--m", "5"]) == 1
+        assert cli.main(["covering-radius", "--m", "6"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: BFS layers hold")
         assert "Traceback" not in captured.err
+
+    def test_failed_certificate_exit_one(self, capsys, monkeypatch):
+        # N = 0 at every normal-form neighbour of (0, 1, 0) at m = 7, so the
+        # depth certificate finds no neighbour of depth <= 4 for it
+        emptied = invariants_emptied_around(cli.coset.invariants, gf2m.make_field(7), (0, 1, 0))
+        monkeypatch.setattr(cli.coset, "invariants", emptied)
+        assert cli.main(["covering-radius", "--m", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state (0, 0x1, 0x0) has no neighbour of depth <= 4\n"
 
     def test_gamma_file_with_the_packaged_profile(self, capsys, tmp_path):
         copy = tmp_path / "gamma.txt"

@@ -10,6 +10,7 @@ import pytest
 from bch3 import coset, curves, oracle
 from bch3.curves import DegenerateLambdaError, curve_params, curve_traces, split_count
 from bch3.coset import (
+    BOUNDS_MAX_M,
     DistributionTable,
     N_of,
     N_of_general,
@@ -23,7 +24,7 @@ from bch3.coset import (
     weight8_count,
 )
 from bch3.gf2m import make_field
-from conftest import dual_weights_by_enumeration, weight4_histogram_by_triples
+from conftest import dual_weights_by_enumeration, invariants_emptied_around, weight4_histogram_by_triples
 
 
 TABLE_M7 = {0: 2, 2: 28, 4: 98, 6: 84, 8: 35, 10: 7}
@@ -341,6 +342,57 @@ class TestBounds:
         assert lo % 2 == 0 and hi % 2 == 0
         assert lo <= real_lo < lo + 2 or (lo == 0 and real_lo < 0)
         assert hi - 2 < real_hi <= hi
+
+
+def z_form_layers(m: int, zero: int) -> tuple[int, ...]:
+    """The layers docs/covering_radius_bfs.md derives from Z = zero."""
+    q = 1 << m
+    low = tuple(math.comb(q - 1, k) for k in range(4))
+    last = (q - 1) * (q // 2) * (1 + zero) + q * q - 1 - (q - 1) * (q - 2) // 6
+    return (*low, q**3 - sum(low) - last, last)
+
+
+class TestCoveringLayers:
+    # equality with the BFS at m = 5..13 is in test_oracle.py
+
+    @pytest.mark.parametrize("m", [15, 17, 19, 21])
+    def test_z_form_beyond_the_search(self, m):
+        # Z read from the checked table, which no BFS reaches
+        zero = distribution(m).normalized.get(0, 0)
+        assert coset.covering_layers(m) == z_form_layers(m, zero)
+
+    @pytest.mark.parametrize("m", [9, 13, 25, BOUNDS_MAX_M])
+    def test_no_field_from_m9_on(self, monkeypatch, m):
+        monkeypatch.setattr(coset, "make_field", _refuse)
+        assert coset.covering_layers(m) == z_form_layers(m, 0)
+
+    def test_refuses_when_the_interval_admits_zero(self, monkeypatch):
+        real = coset.bounds
+
+        def opened(m):
+            report = real(m)
+            return dataclasses.replace(report, refined_even=(0, report.refined_even[1]))
+
+        monkeypatch.setattr(coset, "bounds", opened)
+        with pytest.raises(AssertionError, match="admits N = 0 at m=9"):
+            coset.covering_layers(9)
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_certificate_fires(self, monkeypatch, m):
+        # N = 0 at every normal-form neighbour of (0, 1, 0), so it has
+        # no neighbour of depth <= 4 in the table
+        emptied = invariants_emptied_around(coset.invariants, make_field(m), (0, 1, 0))
+        monkeypatch.setattr(coset, "invariants", emptied)
+        with pytest.raises(AssertionError, match=r"^state \(0, 0x1, 0x0\) has no neighbour of depth <= 4$"):
+            coset.covering_layers(m)
+
+    @pytest.mark.parametrize(
+        "m, error", [(3, "need odd 5 <= m"), (6, "requires odd"), (BOUNDS_MAX_M + 2, "need odd 5 <= m")]
+    )
+    def test_outside_the_range(self, monkeypatch, m, error):
+        monkeypatch.setattr(coset, "make_field", _refuse)
+        with pytest.raises(ValueError, match=error):
+            coset.covering_layers(m)
 
 
 class TestGammaReport:

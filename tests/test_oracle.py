@@ -417,6 +417,12 @@ class TestCoveringRadius:
         last = (q - 1) * (q // 2) * (1 + zero) + q * q - 1 - (q - 1) * (q - 2) // 6
         assert layers == (*low, q**3 - sum(low) - last, last)
 
+    @pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
+    def test_closed_form_layers(self, m):
+        # coset.covering_layers, which the CLI runs at odd m, against the
+        # search: a certificate at m = 5 and 7, the interval from m = 9 on
+        assert coset.covering_layers(m) == (RECORDED.get(m) or cached_report(m).reached_at_weight)
+
     @pytest.mark.parametrize("m", [4, 5])
     def test_search_stalls_short_of_a_larger_target(self, m, monkeypatch):
         # the search has no target: it ends when no orbit label is open or

@@ -56,3 +56,10 @@ def test_single_class_traces_also_validates(capsys):
     assert cli.main(["traces", "--m", "5", "--b", "0x00", "--tr-a", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     _validator("traces").validate(report["payload"])
+
+
+def test_closed_form_covering_radius_also_validates(capsys):
+    assert cli.main(["covering-radius", "--m", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["method"] == "closed_form"
+    _validator("covering-radius").validate(report["payload"])
