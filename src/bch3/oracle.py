@@ -1,11 +1,12 @@
 """Exhaustive ground truth for the coset computations.
 
 Two independent checks live here: a brute-force count of weight-4
-words per syndrome, every requested row (1, a, *) from one enumeration
-of the 4-subsets through 0, each moved onto row a by the translations
-x -> x + t with t^2 + t = a + s3 (see docs/weight4_oracle.md), and the
-exact covering radius via breadth-first search over the scaling and
-Frobenius orbits of the syndrome group (see docs/covering_radius_bfs.md).
+words per syndrome, every row (1, a, *) read from one histogram per
+field of the 4-subsets through 0, keyed by an F_2-linear map of the
+syndrome that every translation x -> x + t leaves fixed (see
+docs/weight4_oracle.md), and the exact covering radius via breadth-first
+search over the scaling and Frobenius orbits of the syndrome group (see
+docs/covering_radius_bfs.md).
 
 None of this shares logic with the curve-side closed forms; it exists so
 the fast pipeline can be validated end to end.
@@ -20,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf2m import FieldSpec, _readonly, log_tables, make_field, power_table
+from .gf2m import FieldSpec, _readonly, _span_tables, log_tables, make_field, power_table
 
 BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 13
@@ -36,53 +37,78 @@ def _cube_fifth(field: FieldSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _key_counts(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(key, counts): key[v] = Tr(v) << m | D(v) for every element v, D the drift
+    t + t^4 at t^2 + t = v extended linearly past the trace-0 hyperplane, and
+    counts[k] = half the number of base sets {0, x, y, z} with sum 1 whose
+    syndrome (s3, s5) has key[s3] ^ s5 = k, 2q entries; both read-only.
+
+    Tr and D are F_2-linear (see docs/weight4_oracle.md), so a base set's key
+    is the xor of the columns key[x^3] ^ x^5 of its three nonzero members.
+    The base sets are enumerated once per field, level by level in the top
+    bit of x, with no set enumerated twice or thrown away.
+    """
+    q, m = field.q, field.m
+    if q > BRUTE_Q_LIMIT:
+        raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
+    cube_fifth = _cube_fifth(field)
+    t = np.arange(q, dtype=np.int64)
+    bits = np.arange(m)
+    trace = _span_tables(field.trace_mask >> bits & 1)  # trace[v] = Tr(v)
+    # drift[t + t^2] = t + t^4, the same from both roots, read on the hyperplane
+    # Tr = 0 through the projection v -> v + Tr(v) w0, w0 the least element of trace 1
+    drift = np.zeros(q, dtype=np.int64)
+    drift[t ^ power_table(field, 2)] = t ^ power_table(field, 4)
+    drift = drift[t ^ trace * (field.trace_mask & -field.trace_mask)]
+    if not np.array_equal(drift, _span_tables(drift[1 << bits])):
+        raise AssertionError("the drift must be F_2-linear: the span of its basis values")
+    key = trace << m | drift
+    cols = key[cube_fifth >> m] ^ cube_fifth & (q - 1)
+    counts = np.zeros(2 * q, dtype=np.int64)
+    for k in range(1, m - 1):
+        # x in [2^k, 2^(k+1)); y >= 2^(k+1) with bit k clear, so z = y ^ (1 ^ x)
+        # differs from y first in bit k, where z has it set: x < y < z
+        xs = t[1 << k : 2 << k, None]
+        ys = t[2 << k :].reshape(-1, 2 << k)[:, : 1 << k].ravel()
+        y_cols = cols[ys]
+        block = max(1, _SETS_CHUNK // len(ys))  # x values per block
+        for lo in range(0, len(xs), block):
+            x = xs[lo : lo + block]
+            key_sum = cols[ys ^ (1 ^ x)]  # in place from here: a fresh block per xor costs page faults
+            key_sum ^= y_cols
+            key_sum ^= cols[x]
+            counts += np.bincount(key_sum.ravel(), minlength=2 * q)
+    if (counts & 1).any():
+        raise AssertionError("key counts must be even: the four base sets of a 4-set share one key")
+    return _readonly(key), _readonly(counts >> 1)
+
+
 def weight4_rows(field: FieldSpec, avals) -> np.ndarray:
     """rows[i, b] = number of 4-subsets of F_q with power sums (1, avals[i], b),
-    as a read-only (len(avals), q) int64 array, cached per field and avals,
-    which is hashable: a tuple or a range.
+    as a read-only (len(avals), q) int64 array.
 
     Counts over translations (see docs/weight4_oracle.md): a base set
     {0, x, y, z} with sum 1 and syndrome (s3, s5) shifted by t lands on
     (a, s5 + t + t^4) iff t^2 + t = a + s3, which has the two roots t and
     t + 1 iff Tr(a + s3) = 0; both move s5 alike.  Each 4-set is met from
     four (set, shift) pairs and each base set that lands stands for two, so
-    the counts are halved.  The base sets are enumerated once for all
-    requested rows, level by level in the top bit of x, with no set
-    enumerated twice or thrown away.
+    the counts are halved.  The drift t + t^4 is linear in a + s3, so the
+    base sets that land on (a, b) are those with key (Tr s3, s5 + D(s3))
+    equal to (Tr a, b + D(a)): every row is a gather from one cached
+    histogram of the keys (_key_counts), however many rows are asked for.
     """
-    avals = tuple(field._check(a) for a in avals)
-    q, m = field.q, field.m
-    if q > BRUTE_Q_LIMIT:
-        raise ValueError(f"q={q} is too large for the exhaustive oracle (limit {BRUTE_Q_LIMIT})")
-    cube_fifth = _cube_fifth(field)
-    t = np.arange(q, dtype=np.int64)
-    # drift[t + t^2] = t + t^4, the same from both roots; q where Tr(v) = 1,
-    # which sends s5 ^ q past the row into bin q + s5
-    drift = np.full(q, q, dtype=np.int64)
-    drift[t ^ power_table(field, 2)] = t ^ power_table(field, 4)
-    drifts = drift[np.array(avals, dtype=np.int64).reshape(-1, 1) ^ t]  # drifts[i, s3] = drift[a_i + s3]
-    counts = np.zeros((len(avals), 2 * q), dtype=np.int64)
-    for k in range(1, m - 1):
-        # x in [2^k, 2^(k+1)); y >= 2^(k+1) with bit k clear, so z = y ^ (1 ^ x)
-        # differs from y first in bit k, where z has it set: x < y < z
-        xs = t[1 << k : 2 << k, None]
-        ys = t[2 << k :].reshape(-1, 2 << k)[:, : 1 << k].ravel()
-        y_powers = cube_fifth[ys]
-        block = max(1, _SETS_CHUNK // len(ys))  # x values per block
-        for lo in range(0, len(xs), block):
-            x = xs[lo : lo + block]
-            s = (cube_fifth[x] ^ y_powers ^ cube_fifth[ys ^ (1 ^ x)]).ravel()
-            s3, s5 = s >> m, s & (q - 1)
-            for row, row_drift in zip(counts, drifts):
-                row += np.bincount(s5 ^ row_drift[s3], minlength=2 * q)
-    counts = counts[:, :q]
-    if (counts & 1).any():
-        raise AssertionError("row counts must be even: each 4-set is met twice")
-    return _readonly(counts >> 1)
+    avals = np.array([field._check(a) for a in avals], dtype=np.int64)
+    key, counts = _key_counts(field)
+    b = np.arange(field.q, dtype=np.int64)
+    rows = np.empty((len(avals), field.q), dtype=np.int64)
+    block = max(1, _CHUNK // field.q)  # rows per gather
+    for lo in range(0, len(avals), block):
+        rows[lo : lo + block] = counts[key[avals[lo : lo + block], None] ^ b]
+    return _readonly(rows)
 
 
 def weight4_histogram(field: FieldSpec) -> np.ndarray:
-    """count[s3*q + s5] for every syndrome: a flat view of the cached
+    """count[s3*q + s5] for every syndrome: a flat view of
     weight4_rows(field, range(q)), q^2 entries, so q <= 512 only."""
     if field.q > 512:
         raise ValueError(f"q={field.q} is too large for the full histogram (limit 512)")

@@ -123,14 +123,28 @@ class TestBruteN:
             assert row[1] == 0  # the degenerate lam = 0 carries no 4-set
             assert np.array_equal(row[b], values[1:])
 
-    def test_evenness_gate_fires(self, f5, monkeypatch):
-        # the drift t + t^4 one bit off at t = 1 moves some base sets and
-        # not the others that meet the same 4-set
+    def test_linearity_gate_fires(self, f5, monkeypatch):
+        # the drift t + t^4 one bit off at t = 1 writes D(0) = 1, which no
+        # F_2-linear map has; the gate refuses before any set is enumerated
         fourth = power_table(f5, 4).copy()
         fourth[1] ^= 1
         monkeypatch.setattr(oracle, "power_table", lambda field, k: fourth if k == 4 else power_table(field, k))
-        with pytest.raises(AssertionError, match="^row counts must be even"):
-            oracle.weight4_rows.__wrapped__(f5, (0,))
+        monkeypatch.setattr(oracle, "_SETS_CHUNK", None)  # the walk would fail on it: the gate comes first
+        with pytest.raises(AssertionError, match="^the drift must be F_2-linear"):
+            oracle._key_counts.__wrapped__(f5)
+
+    def test_evenness_gate_fires(self, f5, monkeypatch):
+        # the four base sets of a 4-set share one key, so each key count
+        # is even.  A change to one column moves the two base sets that
+        # hold it alike; a change to two columns x1 = 2 and x2 = 4 by
+        # different bits moves the four base sets of a 4-set {s, s + 2,
+        # s + 4, s + 7} by 1, 2, 1 ^ 2 and 0, into four different bins
+        cube_fifth = oracle._cube_fifth(f5).copy()
+        cube_fifth[2] ^= 1
+        cube_fifth[4] ^= 2
+        monkeypatch.setattr(oracle, "_cube_fifth", lambda field: cube_fifth)
+        with pytest.raises(AssertionError, match="^key counts must be even"):
+            oracle._key_counts.__wrapped__(f5)
 
     def test_row_is_read_only(self, f5):
         with pytest.raises(ValueError):
@@ -166,13 +180,24 @@ class TestBruteN:
         field = make_field(m, modulus)
         assert np.array_equal(oracle.weight4_histogram(field), weight4_histogram_by_triples(field))
 
-    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("m", range(4, 13))
     def test_histogram_total_is_subsets_with_sum_one(self, m):
         # 4-sets with sum 0 are the C(q, 3) / 4 completions of 3-sets;
-        # scaling spreads the rest evenly over the q - 1 nonzero sums
+        # scaling spreads the rest evenly over the q - 1 nonzero sums.
+        # Every row: past m = 9 no flat histogram or triple count reaches
         q = 1 << m
         expected = (comb(q, 4) - q * (q - 1) * (q - 2) // 24) // (q - 1)
-        assert int(oracle.weight4_histogram(make_field(m)).sum()) == expected
+        assert int(oracle.weight4_rows(make_field(m), range(q)).sum()) == expected
+
+    @pytest.mark.parametrize("m", [10, 11, 12])
+    def test_all_rows_are_frobenius_invariant(self, m):
+        # squaring every element of a 4-set squares its power sums, and
+        # (1, a, b) -> (1, a^2, b^2): rows[a^2, b^2] = rows[a, b]
+        field = make_field(m)
+        rows = oracle.weight4_rows(field, range(field.q))
+        square = power_table(field, 2)
+        for lo in range(0, field.q, 256):  # a block of rows at a time, no second q^2 array
+            assert np.array_equal(rows[square[lo : lo + 256]][:, square], rows[lo : lo + 256])
 
     def test_histogram_refuses_q_above_512(self, monkeypatch):
         # before any row is read: the flat view would hold q^2 entries

@@ -1,6 +1,6 @@
 """Rules on the package source, read from its syntax trees: each refusal
-message is built at one site, and one helper makes cached tables
-read-only."""
+message is built at one site, one helper makes cached tables read-only,
+and the oracle imports nothing from the closed form it checks."""
 
 import ast
 from collections import defaultdict
@@ -41,3 +41,36 @@ def test_only_readonly_sets_the_writeable_flag():
         f"{name}:{node.lineno}" for name, tree in TREES.items() for node in _writeable_flags(tree) if id(node) not in inside
     ]
     assert outside == []
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """Modules of the package that tree imports, by every spelling:
+    `from . import a`, `from .a import x`, `from bch3 import a`,
+    `from bch3.a import x` and `import bch3.a`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "bch3" and not module.startswith("bch3."):
+                    continue
+                module = module.removeprefix("bch3").removeprefix(".")
+            if module:
+                names.add(module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("bch3."))
+    return names
+
+
+def test_oracle_imports_neither_curves_nor_coset():
+    assert _package_imports(TREES["oracle.py"]) & {"curves", "coset"} == set()
+
+
+def test_import_rule_sees_the_cli_import_both():
+    # the control: cli.py imports both with `from . import ...`, so the rule
+    # above cannot pass by reading no import at all
+    assert {"curves", "coset"} <= _package_imports(TREES["cli.py"])
+    spellings = ["from . import coset", "from .coset import N_of", "from bch3 import coset", "import bch3.coset"]
+    assert all(_package_imports(ast.parse(line)) == {"coset"} for line in spellings)
