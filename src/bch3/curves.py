@@ -19,7 +19,8 @@ inclusion-exclusion coefficients of (n1', n3', n5) SUBSETS holds.
 lambda_of reads a^2 from the square table.  CurveParams checks (class, b)
 on construction and derives lam = b + 1, so no instance holds an unchecked
 lam; j = lam^-4 is computed only when read, as exp[-4*log(lam) mod (q - 1)]
-from the log tables, which the count table's build has already filled.
+from the log tables.  The count table's build reads only exp_table, not
+the log, so the first j read builds log with one scatter.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, _readonly, inverse_table, log_tables, power_table, trace_mul_table
+from .gf2m import FieldSpec, _readonly, exp_table, log_tables, power_table, trace_mul_table
 
 # Coefficients of (n1', n3', n5) in split_count's sum over the subsets U.
 SUBSETS = {"f1f2": (2, 0, 1), "f3": (0, 1, 0), "f1f2f3": (2, 2, 3)}
@@ -122,13 +123,30 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
 def _mask_histograms(field: FieldSpec) -> np.ndarray:
     """int32 array of shape (3, q) whose row transforms are the character
-    sums of phi1, phi3 and phi5.  trace_mul_table is linear, so the mask
-    of phi5 = phi1 + phi3 is the xor of theirs, built in place after
-    their bincounts; the q-sized masks die with this frame."""
-    q = field.q
-    T = trace_mul_table(field)
-    xs = np.arange(q, dtype=np.int64)
-    m1, m3 = (T[psi[1:]] for psi in (power_table(field, 3) ^ xs, inverse_table(field) ^ xs))
+    sums of phi1, phi3 and phi5, with the elements of F_q^* taken in
+    exponent order, x = g^k for 0 <= k < n = q - 1 (docs/count_table.md).
+
+    T = trace_mul_table is linear, so with texp = T[exp] the mask of x^3 + x
+    is texp[3k mod n] ^ texp[k], that of 1/x + x is texp[-k mod n] ^ texp[k],
+    and that of phi5 = phi1 + phi3 the xor of both, built in place after
+    their bincounts.  No cube, inverse or log table is read, and the
+    q-sized masks die with this frame.
+    """
+    q, n = field.q, field.q - 1
+    texp = trace_mul_table(field)[exp_table(field)]
+    # k -> 3k mod n permutes the exponents when 3 does not divide n (odd m):
+    # the k with j*n <= 3k < (j + 1)*n read texp from (-j*n) mod 3 in steps of 3
+    if n % 3 == 0:
+        raise AssertionError("3k mod n must run through every exponent")
+    m1 = np.concatenate([texp[-j * n % 3 :: 3] for j in range(3)])
+    m1 ^= texp
+    # the phi3 mask is symmetric, m3[k] = m3[n - k], so it overwrites texp:
+    # one half from the two halves, then its mirror image (n is odd)
+    half = n // 2
+    m3 = texp
+    m3[1 : half + 1] ^= m3[:half:-1]
+    m3[half + 1 :] = m3[half:0:-1]
+    m3[0] = 0
     sums = np.empty((3, q), dtype=np.int32)
     sums[0] = np.bincount(m1, minlength=q)
     sums[1] = np.bincount(m3, minlength=q)

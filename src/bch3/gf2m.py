@@ -9,7 +9,7 @@ share the same integer encoding.
 
 The scalar FieldSpec methods (mul, square, pow, inv) are bit loops over
 one element: the auditable reference the tables are tested against, and
-the order test on the generator in log_tables.  That order test is the
+the order test on the generator in exp_table.  That order test is the
 only scalar product work of field setup: at most one FieldSpec.pow per
 prime factor of q - 1 for each candidate g, 2 us to 0.8 ms at
 m = 3..23 (warm, 2-core Intel Xeon).  The rest makes no scalar product:
@@ -20,12 +20,13 @@ behind every table.
 The array kernel is the span table: v -> c*v is F_2-linear, so a product
 by a constant over an int64 array is two lookups into half-width tables
 filled by xor-ing basis products over subsets (mul_const), as is
-trace_mul_table.  log_tables builds these for all its doubling constants
-at once, and every power table (power_table, inverse_table) is one
-lookup into the log/antilog tables: no per-field setup loops over the q
-elements in Python.  No FieldSpec of degree above TABLE_MAX_M exists (the
-modulus search refuses one before it starts), so the cap bounds every
-field the package builds and every table grown from it.
+trace_mul_table.  exp_table builds these for all its doubling constants
+at once, log_tables inverts it with one scatter, and every power table
+(power_table, inverse_table) is one lookup into the log/antilog tables:
+no per-field setup loops over the q elements in Python.  No FieldSpec of
+degree above TABLE_MAX_M exists (the modulus search refuses one before
+it starts), so the cap bounds every field the package builds and every
+table grown from it.
 
 Hex strings ("0x25" for x^5 + x^2 + 1) are the external encoding of both
 elements and moduli.
@@ -39,10 +40,11 @@ from functools import lru_cache
 import numpy as np
 
 # Largest degree of any field the package builds.  Its per-field tables are
-# q-sized: cold through the CLI on a 2-core Xeon, `table --m 21` takes 0.6 s
-# at 213 MB peak RSS and `table --m 23` 2.0-2.3 s at 702 MB, each odd step
-# of m multiplies the peak above the interpreter's 35 MB by about 4 (3.7
-# from m = 21 to 23), and m = 25 would take about 2.7 GB.
+# q-sized: cold through the CLI on a 2-core Xeon, over 8 runs each,
+# `table --m 21` takes 0.55-0.79 s at 150 MB peak RSS and `table --m 23`
+# 2.4-3.1 s (7 of the 8 runs) at 456 MB.  Each odd step of m multiplies the
+# interpreter's 29 MB by about 4 (3.5 from m = 21 to 23), so m = 25 would
+# take about 1.7 GB (estimated, not run).
 TABLE_MAX_M = 23
 
 
@@ -256,22 +258,21 @@ def _mul_tables(field: FieldSpec, cs: list[int]) -> np.ndarray:
 
 def mul_const(field: FieldSpec, c: int, v: np.ndarray) -> np.ndarray:
     """c * v elementwise, for one element c and an int64 array v of elements:
-    the one-row case of the tables log_tables builds for all its constants."""
+    the one-row case of the tables exp_table builds for all its constants."""
     [(low, high)] = _mul_tables(field, [field._check(c)])
     half = field.m // 2
     return low[v & ((1 << half) - 1)] ^ high[v >> half]
 
 
 @lru_cache(maxsize=None)
-def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(exp, log) to the base g, the least primitive element of F_q^*.
+def exp_table(field: FieldSpec) -> np.ndarray:
+    """exp[k] = g^k for 0 <= k < q - 1, g the least primitive element of F_q^*.
 
-    exp[k] = g^k for 0 <= k < q - 1, and log[exp[k]] = k, with log[0] = 0
-    as filler.  g passes the order test g^((q-1)/p) != 1 for every prime p
-    dividing q - 1; x itself need not be primitive (modulus 0x1f at m = 4).
-    exp is filled by doubling, exp[k:2k] = exp[:k] * g^k for k = 2^i, in
-    m passes of two gathers each into the multiplier tables of the
-    constants g^(2^i), all built in one batched pass.
+    g passes the order test g^((q-1)/p) != 1 for every prime p dividing
+    q - 1; x itself need not be primitive (modulus 0x1f at m = 4).  exp is
+    filled by doubling, exp[k:2k] = exp[:k] * g^k for k = 2^i, in m passes
+    of two gathers each into the multiplier tables of the constants
+    g^(2^i), all built in one batched pass.
     """
     n = field.q - 1
     primes = _prime_factors(n)
@@ -287,9 +288,17 @@ def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
         head = exp[: stop - k]
         exp[k:stop] = low[head & ((1 << half) - 1)] ^ high[head >> half]
         k = stop
+    return _readonly(exp)
+
+
+@lru_cache(maxsize=None)
+def log_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) to the base g of exp_table: log[exp[k]] = k, with
+    log[0] = 0 as filler."""
+    exp = exp_table(field)
     log = np.zeros(field.q, dtype=np.int64)
-    log[exp] = np.arange(n, dtype=np.int64)
-    return _readonly(exp), _readonly(log)
+    log[exp] = np.arange(field.q - 1, dtype=np.int64)
+    return exp, _readonly(log)
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,7 @@ def cold_distribution(m, modulus=None):
     curves._count_table.cache_clear()
     coset.invariants.cache_clear()
     gf2m.power_table.cache_clear()
+    gf2m.exp_table.cache_clear()
     gf2m.log_tables.cache_clear()
     gf2m.trace_mul_table.cache_clear()
     start = time.perf_counter()

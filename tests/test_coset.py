@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bch3 import coset, curves, oracle
+from bch3 import coset, curves, gf2m, oracle
 from bch3.curves import DegenerateLambdaError, curve_params, curve_traces, split_count
 from bch3.coset import (
     BOUNDS_MAX_M,
@@ -29,6 +29,12 @@ from conftest import dual_weights_by_enumeration, invariants_emptied_around, wei
 
 TABLE_M7 = {0: 2, 2: 28, 4: 98, 6: 84, 8: 35, 10: 7}
 TABLE_M9 = dict(zip(range(12, 33, 2), [18, 21, 117, 180, 148, 195, 199, 81, 36, 18, 9]))
+TABLE_M11 = dict(
+    zip(
+        range(66, 109, 2),
+        [22, 66, 88, 55, 176, 264, 187, 374, 374, 374, 451, 365, 341, 275, 341, 154, 44, 55, 33, 11, 22, 22],
+    )
+)
 SECOND_MOMENT_DOC = Path(__file__).parents[1] / "docs" / "second_moment.md"
 # sum N(N - 1) over both classes and every lam != 0
 PAIRS = {5: 70, 7: 6342, 9: 449990, 11: 29565382, 13: 1904685510}
@@ -161,6 +167,24 @@ class TestDistribution:
 
     def test_published_m9(self):
         assert distribution(9).normalized == TABLE_M9
+
+    def test_reads_no_cube_inverse_or_log_table(self, monkeypatch):
+        # cold: the count tables come from exp_table and T alone
+        for cache in (gf2m.exp_table, gf2m.log_tables, gf2m.power_table, gf2m.trace_mul_table):
+            cache.cache_clear()
+        curves._count_table.cache_clear()
+        coset.invariants.cache_clear()
+
+        def refuse(*args):
+            raise LookupError("a cube, inverse or log table was read")
+
+        for module in (gf2m, curves):
+            for name in ("power_table", "inverse_table", "log_tables"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for m, table in {5: {0: 27, 2: 35}, 7: TABLE_M7, 9: TABLE_M9, 11: TABLE_M11}.items():
+            assert distribution(m).normalized == table
+        report = gamma_report(13, load_gamma(), table=distribution(13))
+        assert report.residual_nonzero == {11: 1, 37: 1}
 
     def test_class_totals(self):
         table = distribution(7)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,15 @@ from bch3.curves import (
     split_count,
     split_interval,
 )
-from bch3.gf2m import inverse_table, make_field, power_table
+from bch3.gf2m import (
+    exp_table,
+    find_default_modulus,
+    inverse_table,
+    is_irreducible,
+    make_field,
+    power_table,
+    trace_mul_table,
+)
 from conftest import (
     g_count_slow,
     mul_array,
@@ -172,6 +181,50 @@ class TestCounts:
         for lam in (1, 2, 45, 100, 127):
             for i in range(1, 8):
                 assert int(table[i - 1, lam]) == n_count_slow(f7, i, lam, 0)
+
+
+def _three_moduli(m: int) -> list[int]:
+    """The default modulus of degree m and the two largest irreducibles."""
+    top = (p for p in range((2 << m) - 1, 1 << m, -1) if is_irreducible(p))
+    return [find_default_modulus(m), next(top), next(top)]
+
+
+class TestMaskHistograms:
+    """The exponent-order masks against the construction they replace:
+    bincounts of T[x^3 + x], T[1/x + x] and T[x^3 + 1/x] over F_q^*, with
+    x^3 and 1/x read from power_table and inverse_table."""
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13, 15])
+    def test_equal_cube_and_inverse_construction(self, m):
+        for modulus in _three_moduli(m):
+            field = make_field(m, modulus)
+            T = trace_mul_table(field)
+            xs = np.arange(1, field.q, dtype=np.int64)
+            cube, inv = power_table(field, 3)[1:], inverse_table(field)[1:]
+            want = [np.bincount(T[psi], minlength=field.q) for psi in (cube ^ xs, inv ^ xs, cube ^ inv)]
+            assert np.array_equal(curves._mask_histograms(field), want)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_even_degree_gate_fires(self, m):
+        # 3 divides q - 1 at even m, so k -> 3k mod (q - 1) is no permutation
+        with pytest.raises(AssertionError, match="every exponent"):
+            curves._mask_histograms(make_field(m))
+
+    def test_cold_count_build_peak(self):
+        # with exp and T prebuilt: the masks take 2 * 8q (the phi3 mask
+        # overwrites texp, the phi5 mask the phi1 mask), the int32 sums
+        # 1.5 * 8q and a bincount 8q; the cube and inverse construction
+        # peaked at 7.5 * 8q
+        field = make_field(17)
+        exp_table(field)
+        trace_mul_table(field)
+        tracemalloc.start()
+        try:
+            curves._count_table.__wrapped__(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * field.q
 
 
 class TestWalshHadamard:

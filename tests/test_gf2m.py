@@ -13,6 +13,7 @@ from bch3 import gf2m
 from bch3.gf2m import (
     TABLE_MAX_M,
     FieldSpec,
+    exp_table,
     find_default_modulus,
     inverse_table,
     is_irreducible,
@@ -315,7 +316,8 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("field", _kernel_fields(), ids=lambda f: f"m{f.m}-0x{f.modulus:x}")
     def test_exp_table_holds_powers_of_its_generator(self, field):
-        exp, _ = log_tables(field)
+        exp = exp_table(field)
+        assert np.array_equal(log_tables(field)[0], exp)
         g, n = int(exp[1]), field.q - 1
         # both sides of every seam of the doubling fill, and a seeded sample
         ks = {k for j in range(field.m) for k in ((1 << j) - 1, 1 << j, (1 << j) + 1) if k < n}
@@ -353,5 +355,7 @@ class TestArrayKernel:
     def test_tables_are_read_only(self, f5):
         with pytest.raises(ValueError):
             power_table(f5, 3)[2] = 0
+        with pytest.raises(ValueError):
+            exp_table(f5)[2] = 0
         with pytest.raises(ValueError):
             trace_mul_table(f5)[2] = 0
