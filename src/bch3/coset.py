@@ -25,7 +25,7 @@ import numpy as np
 
 from . import curves
 from .curves import DegenerateLambdaError, require_odd
-from .gf2m import FieldSpec, _readonly, log_tables, make_field, power_table
+from .gf2m import FieldSpec, _readonly, log_tables, make_field, power_table, trace_mul_table
 
 
 @lru_cache(maxsize=None)
@@ -33,16 +33,24 @@ def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
     """N for normalized A (trace class only) and every lam, as a read-only
     int64 array indexed like the count table: the degenerate lam = 0 holds -1.
 
-    One combine over the lam != 0 columns of the adjusted count rows,
-    checked once to sit on the even part of its lattice; the lam = 0
-    column never reaches that check.
+    One in-place int32 combine over the lam != 0 columns of the adjusted
+    count rows (|num| <= 14q fits up to m = 27), checked once to sit on
+    the even part of its lattice: for num >= 0, 48 | num exactly when
+    24 | num and num / 24 is even.  The lam = 0 column never reaches
+    that check.
     """
     q = field.q
     off, n1, n3, n5 = curves._rows(field, trace_class_a, slice(1, None))
-    num = -6 * q - 2 + 8 * off + 2 * (2 * n1 + 2 * n3 + 3 * n5)
-    if (num % 24).any() or (num < 0).any() or (num // 24 % 2).any():
+    num = n1 + n3
+    num *= 4
+    num += 6 * n5
+    num += 8 * off - 6 * q - 2
+    if (num % 48).any() or (num < 0).any():
         raise AssertionError("invariant left its lattice")
-    return _readonly(np.concatenate(([-1], num // 24), dtype=np.int64))
+    out = np.empty(q, dtype=np.int64)
+    out[0] = -1
+    np.floor_divide(num, 24, out=out[1:])
+    return _readonly(out)
 
 
 def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
@@ -241,27 +249,19 @@ def _depth_five_certificate(field: FieldSpec) -> int:
     Those states are the s1 = 0 states other than 0, the normal forms
     (1, A, B) with lam != 0 and N = 0, and those with lam = 0 and
     Tr A = 0.  A neighbour has depth <= 4 when it is a normal form with
-    lam != 0 and N > 0.  The step by x = 1 from (0, a, b) is
-    (1, a + 1, b + 1) with no rescaling, one read per state.  The s1 = 0
-    states it leaves open and the s1 = 1 states then try x = 2, 3, ...
-    in turn, each x on the states still open; the step from (s1, a, b)
-    is (1, c^3 (a + x^3), c^5 (b + x^5)) with c = 1/(s1 + x).
+    lam != 0 and N > 0.  _open_states lists the states of the last two
+    groups, and the s1 = 0 states that the step by x = 1 leaves open,
+    from the table slots with N <= 0.  Those then try x = 2, 3, ... in
+    turn, each x on the states still open; the step from (s1, a, b) is
+    (1, c^3 (a + x^3), c^5 (b + x^5)) with c = 1/(s1 + x).
     """
     m, q, n = field.m, field.q, field.q - 1
     values = np.concatenate([invariants(field, 0), invariants(field, 1)])  # at Tr A << m | lam
-    elements = trace = power = np.arange(q)
-    square = power_table(field, 2)
-    for _ in range(m - 1):  # Tr v = v + v^2 + ... + v^(2^(m - 1))
-        power = square[power]
-        trace = trace ^ power
-    key = trace << m | square ^ elements ^ 1  # N(A, B) = values[key[A] ^ B]
+    # bit 0 of T[v] is Tr(1 * v); N(A, B) = values[key[A] ^ B]
+    key = (trace_mul_table(field) & 1) << m | power_table(field, 2) ^ np.arange(q) ^ 1
     near = values > 0  # the normal forms of depth 3 or 4; lam = 0 holds -1
-    deep = values == 0  # and those left at depth >= 5: N = 0 ...
-    zero = int(np.count_nonzero(deep))
-    deep[0] = True  # ... or lam = 0 and Tr A = 0
-    left = np.stack([~near[key[elements ^ 1, None] ^ elements ^ 1], deep[key[:, None] ^ elements]])
-    left[0, 0, 0] = False  # the root
-    s1, a, b = np.nonzero(left)
+    zero = int(np.count_nonzero(values == 0))
+    s1, a, b = _open_states(values, key)
     # scaled[log_of[v] + k] = v g^k: exp twice over, then a zero block that log_of[0] points into
     exp, log = log_tables(field)
     scaled = np.concatenate([exp, exp, 0 * exp])
@@ -272,13 +272,38 @@ def _depth_five_certificate(field: FieldSpec) -> int:
     while len(s1):
         x += 1
         if x == q:
-            raise AssertionError(f"state ({s1[0]}, 0x{a[0]:x}, 0x{b[0]:x}) has no neighbour of depth <= 4")
+            least = np.argmin(s1 << 2 * m | a << m | b)
+            raise AssertionError(f"state ({s1[least]}, 0x{a[least]:x}, 0x{b[least]:x}) has no neighbour of depth <= 4")
         s = s1 ^ x
         big_a = scaled[log_of[a ^ cube[x]] + inv3[s]]
         big_b = scaled[log_of[b ^ fifth[x]] + inv5[s]]
         stay = ~near[key[big_a] ^ big_b]
         s1, a, b = s1[stay], a[stay], b[stay]
     return zero
+
+
+def _open_states(values: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s1, a, b) of the states that the depth-five certificate must settle by
+    some x >= 2, read from the slots k = Tr A << m | lam of values with N <= 0.
+
+    The normal forms (1, A, B) on slot k are the q/2 elements A of trace
+    k >> m, with B = k ^ key[A].  Every such slot but lam = 0, Tr A = 1 gives
+    its forms as open s1 = 1 states, and every such slot gives the states
+    (0, A + 1, B + 1) that the step by x = 1 takes to its forms, less the
+    root (0, 0, 0) on slot q: (Z + 1) q/2 and (Z + 2) q/2 - 1 states.
+    """
+    q = len(key)
+    m = q.bit_length() - 1
+    slots = np.flatnonzero(values <= 0)
+    by_trace = np.argsort(key >> m, kind="stable").reshape(2, -1)  # the q/2 elements of each trace
+    big_a = by_trace[slots >> m]
+    big_b = slots[:, None] ^ key[big_a]
+    low = (big_a != 1) | (big_b != 1)  # the s1 = 0 states, less the root
+    high = slots != q  # the slots whose forms stay open with s1 = 1
+    a = np.concatenate([big_a[low] ^ 1, big_a[high].ravel()])
+    b = np.concatenate([big_b[low] ^ 1, big_b[high].ravel()])
+    s1 = np.repeat([0, 1], [np.count_nonzero(low), np.count_nonzero(high) * (q // 2)])
+    return s1, a, b
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ the constant multiplier of the field tables, and f2_rank_by_loop,
 full_group_bfs_layers and weight4_histogram_by_triples do the same for
 the group order, the orbit BFS and the translation-orbit histogram of
 the oracle, and invariants_emptied_around steps one syndrome state by
-scalar products against the depth certificate of coset.covering_layers.
+scalar products against the depth certificate of coset.covering_layers,
+whose listing of open states open_states_by_grid checks over all 2q^2
+states.
 dual_weights_by_enumeration and weight4_histogram_by_triples
 at sum 0 stand behind the two closed forms of the second-moment gate.
 """
@@ -178,6 +180,23 @@ def invariants_emptied_around(invariants, field: FieldSpec, state: tuple[int, in
         return values
 
     return emptied
+
+
+def open_states_by_grid(values: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The states s1 << 2m | a << m | b, in order, that the depth-five
+    certificate must settle by some x >= 2, from the full (2, q, q) grid:
+    (0, a, b) != 0 when its step by x = 1, (1, a + 1, b + 1), has N <= 0,
+    and (1, a, b) when N = 0 or lam = 0 and Tr A = 0.  N(A, B) is
+    values[key[A] ^ B]."""
+    q = len(key)
+    m = q.bit_length() - 1
+    elements = np.arange(q)
+    deep = values == 0
+    deep[0] = True
+    left = np.stack([values[key[elements ^ 1, None] ^ elements ^ 1] <= 0, deep[key[:, None] ^ elements]])
+    left[0, 0, 0] = False  # the root
+    s1, a, b = np.nonzero(left)
+    return s1 << 2 * m | a << m | b
 
 
 def weight4_histogram_by_triples(field: FieldSpec, total: int = 1) -> np.ndarray:

@@ -2,9 +2,11 @@ import dataclasses
 import decimal
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bch3 import coset, curves, gf2m, oracle
@@ -23,8 +25,14 @@ from bch3.coset import (
     load_gamma,
     weight8_count,
 )
-from bch3.gf2m import make_field
-from conftest import dual_weights_by_enumeration, invariants_emptied_around, weight4_histogram_by_triples
+from bch3.gf2m import is_irreducible, make_field
+from conftest import (
+    dual_weights_by_enumeration,
+    invariants_emptied_around,
+    open_states_by_grid,
+    trace_by_definition,
+    weight4_histogram_by_triples,
+)
 
 
 TABLE_M7 = {0: 2, 2: 28, 4: 98, 6: 84, 8: 35, 10: 7}
@@ -87,6 +95,20 @@ class TestNOf:
         for cls in (0, 1):
             with pytest.raises(AssertionError, match="^invariant left its lattice$"):
                 coset.invariants.__wrapped__(field, cls)
+
+    def test_combine_peak(self):
+        # with the count table built: per class an int64 output of 8q and
+        # int32 transients of 4q each; the int64 combine traced 3 * 8q
+        field = make_field(17)
+        curves._count_table(field)
+        tracemalloc.start()
+        try:
+            rows = [coset.invariants.__wrapped__(field, cls) for cls in (0, 1)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.nbytes for row in rows] == [8 * field.q] * 2
+        assert peak <= 2.75 * 8 * field.q
 
     def test_split_pair_identity(self, f5):
         # each completely splitting pair contributes 16 of the 24 N words
@@ -376,8 +398,54 @@ def z_form_layers(m: int, zero: int) -> tuple[int, ...]:
     return (*low, q**3 - sum(low) - last, last)
 
 
+def _key_by_hand(field) -> np.ndarray:
+    """key[A] = Tr A << m | A^2 + A + 1 by scalar products, so that the
+    invariant of the normal form (1, A, B) sits at slot key[A] ^ B."""
+    return np.array([trace_by_definition(field, a) << field.m | field.mul(a, a) ^ a ^ 1 for a in range(field.q)])
+
+
+def _assert_open_states_match_the_grid(values: np.ndarray, key: np.ndarray) -> None:
+    q = len(key)
+    m = q.bit_length() - 1
+    s1, a, b = coset._open_states(values, key)
+    assert np.array_equal(np.sort(s1 << 2 * m | a << m | b), open_states_by_grid(values, key))
+    zero = np.count_nonzero(values == 0)
+    assert np.count_nonzero(s1 == 0) == (zero + 2) * q // 2 - 1
+    assert np.count_nonzero(s1 == 1) == (zero + 1) * q // 2
+
+
 class TestCoveringLayers:
     # equality with the BFS at m = 5..13 is in test_oracle.py
+
+    @pytest.mark.parametrize("largest", [False, True], ids=["default", "largest"])
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_open_states_match_the_grid(self, m, largest):
+        # on the default modulus and on the largest irreducible of degree m
+        modulus = next(p for p in range((2 << m) - 1, 1 << m, -1) if is_irreducible(p)) if largest else None
+        field = make_field(m, modulus)
+        values = np.concatenate([coset.invariants(field, 0), coset.invariants(field, 1)])
+        _assert_open_states_match_the_grid(values, _key_by_hand(field))
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_open_states_match_the_grid_when_emptied(self, m):
+        # more slots with N = 0 than the real table holds
+        field = make_field(m)
+        emptied = invariants_emptied_around(coset.invariants, field, (0, 1, 0))
+        values = np.concatenate([emptied(field, 0), emptied(field, 1)])
+        _assert_open_states_match_the_grid(values, _key_by_hand(field))
+
+    def test_certificate_holds_no_q_squared_array(self):
+        # the listing takes O(Z q) entries: one int64 array over the q^2
+        # (a, b) grid would take 8 q^2 bytes
+        field = make_field(7)
+        coset._depth_five_certificate(field)  # the invariant, log and power tables, outside the measure
+        tracemalloc.start()
+        try:
+            coset._depth_five_certificate(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * field.q**2
 
     @pytest.mark.parametrize("m", [15, 17, 19, 21])
     def test_z_form_beyond_the_search(self, m):
