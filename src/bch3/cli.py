@@ -112,8 +112,8 @@ def _cmd_verify(args) -> dict:
     rows = oracle.weight4_rows(field, (0, 1))
     b = np.arange(1, field.q) ^ 1  # B = lam + 1 for A in {0, 1}, lam != 0
     mismatches = []
-    for cls, row in enumerate(rows):
-        wrong = b[coset.invariants(field, cls)[1:] != row[b]]
+    for cls, (row, values) in enumerate(zip(rows, coset.invariants(field).reshape(2, -1))):
+        wrong = b[values[1:] != row[b]]
         mismatches += [{"tr_a": cls, "b": _hex(v)} for v in np.sort(wrong).tolist()]
     payload = {"mode": "exhaustive", "checked": 2 * (field.q - 1), "mismatches": mismatches}
     if mismatches:
@@ -124,7 +124,7 @@ def _cmd_verify(args) -> dict:
     return payload
 
 
-_COVERING_RANGE = f"odd 5 <= m <= {coset.BOUNDS_MAX_M} and even 4 <= m <= {oracle.BFS_MAX_M}"
+_COVERING_RANGE = f"odd 5 <= m <= {coset.BOUNDS_MAX_M} and even 4 <= m <= {oracle.BFS_MAX_M // 2 * 2}"
 
 
 def _cmd_covering_radius(args) -> dict:

@@ -1,16 +1,12 @@
 """The weight-4 coset invariant N, its distribution tables, and bounds.
 
-For odd m and a normalized representative A in {0, 1} the invariant is a
-linear combination of the seven fibre counts at lam = B + 1.  With
-n1 = n2, n3 = n7 and n4 = n5 = n6 (docs/count_table.md) it reads, in
-both trace classes,
-
-    N = (-6q - 2 + 8*off + 2*(2*n1' + 2*n3' + 3*n5)) / 24,
-
-where off = Tr(A + 1) and n1', n3' are counted against a constant of
-trace off (q - 1 - n when off = 1), as curves._rows returns them.
-General (A, B) reduce to this shape along the translation x_i -> x_i + s,
-which fixes lam = B + A^2 + A + 1 and the trace class of A.
+For odd m and a normalized representative A in {0, 1}, with n1 = n2,
+n3 = n7 and n4 = n5 = n6 (docs/count_table.md), the invariant at
+lam = B + 1 is 24N = 6*n5 - 2(q + 1) -+ 4(n1 + n3 - q): minus in class
+0, where Tr(A + 1) = 1, and plus in class 1.  The translation
+x_i -> x_i + s fixes lam = B + A^2 + A + 1 and the trace class of A, so
+N depends on (A, B) only through the slot Tr A << m | lam: invariants
+holds N at every slot, and (A, B) reads slot slot_key[A] ^ B.
 """
 
 from __future__ import annotations
@@ -25,51 +21,65 @@ import numpy as np
 
 from . import curves
 from .curves import DegenerateLambdaError, require_odd
-from .gf2m import FieldSpec, _readonly, log_tables, make_field, power_table, trace_mul_table
+from .gf2m import FieldSpec, _readonly, make_field, power_table, scaling_table, trace_mul_table
 
 
 @lru_cache(maxsize=None)
-def invariants(field: FieldSpec, trace_class_a: int) -> np.ndarray:
-    """N for normalized A (trace class only) and every lam, as a read-only
-    int64 array indexed like the count table: the degenerate lam = 0 holds -1.
-
-    One in-place int32 combine over the lam != 0 columns of the adjusted
-    count rows (|num| <= 14q fits up to m = 27), checked once to sit on
-    the even part of its lattice: for num >= 0, 48 | num exactly when
-    24 | num and num / 24 is even.  The lam = 0 column never reaches
-    that check.
-    """
+def invariants(field: FieldSpec) -> np.ndarray:
+    """N at slot Tr A << m | lam for both trace classes and every lam: one
+    read-only int64 array of 2q entries, -1 at the degenerate slots 0 and
+    q, whose (2, q) view is indexed [class, lam].  One pass over n1 + n3
+    and n5 fills both halves, each checked once to sit on the even part of
+    the lattice (for 24N >= 0, 48 | 24N exactly when 24 | 24N and N is
+    even) with the lam = 0 slots zeroed."""
     q = field.q
-    off, n1, n3, n5 = curves._rows(field, trace_class_a, slice(1, None))
-    num = n1 + n3
-    num *= 4
-    num += 6 * n5
-    num += 8 * off - 6 * q - 2
-    if (num % 48).any() or (num < 0).any():
-        raise AssertionError("invariant left its lattice")
-    out = np.empty(q, dtype=np.int64)
-    out[0] = -1
-    np.floor_divide(num, 24, out=out[1:])
+    n1, n3, n5 = curves._count_table(field)
+    out = np.empty(2 * q, dtype=np.int64)
+    low, high = out[:q], out[q:]
+    np.multiply(n5, 6, out=low)
+    low -= 2 * q + 2
+    swing = n1 + n3  # int32, as the count table: |4(n1 + n3 - q)| <= 4q
+    swing -= q
+    swing *= 4
+    np.add(low, swing, out=high)
+    low -= swing
+    out[::q] = 0
+    for half in (low, high):
+        np.floor_divide(half, 48, out=swing)  # an int64 remainder takes twice as long
+        swing *= -48
+        swing += half  # 24N mod 48
+        if swing.any() or half.min() < 0:
+            raise AssertionError("invariant left its lattice")
+    out //= 24
+    out[::q] = -1
     return _readonly(out)
 
 
-def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
-    """The invariant for normalized A (trace class only) and B = b.
+@lru_cache(maxsize=None)
+def slot_key(field: FieldSpec) -> np.ndarray:
+    """key[A] = Tr A << m | A^2 + A + 1 for every element A, as a read-only
+    int64 array: (A, B) has its invariant at slot key[A] ^ B, whose low m
+    bits are lam.  Tr A is bit 0 of T[A], Tr(1 * A)."""
+    return _readonly((trace_mul_table(field) & 1) << field.m | power_table(field, 2) ^ np.arange(field.q) ^ 1)
 
-    The degree, class and b are validated by curves._lam before the
-    invariant array is read or built."""
+
+def N_of(field: FieldSpec, trace_class_a: int, b: int) -> int:
+    """The invariant for normalized A (trace class only) and B = b, read
+    once curves._lam has checked the degree, the class and b."""
     lam = curves._lam(field, trace_class_a, b)
-    return int(invariants(field, trace_class_a)[lam])
+    return int(invariants(field)[trace_class_a << field.m | lam])
 
 
 def N_of_general(field: FieldSpec, a: int, b: int) -> int:
     """The invariant for arbitrary A, translated to the normalized form:
-    odd m, a, b and lam != 0 are checked once, then lam is read."""
+    odd m, a and b are checked once, then slot key[a] ^ b is read."""
     require_odd(field.m)  # before the elements, as for normalized A
-    lam = curves.lambda_of(field, a, b)
-    if lam == 0:
+    field._check(a)  # before the key: a negative index would wrap
+    field._check(b)
+    slot = int(slot_key(field)[a]) ^ b
+    if slot & (field.q - 1) == 0:
         raise DegenerateLambdaError(f"a=0x{a:x}, b=0x{b:x} give lam=0")
-    return int(invariants(field, field.trace(a))[lam])
+    return int(invariants(field)[slot])
 
 
 @dataclass(frozen=True)
@@ -113,8 +123,8 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     field = make_field(m, modulus)
     q = field.q
     per_class = []
-    for cls in (0, 1):
-        hist = np.bincount(invariants(field, cls)[1:])
+    for row in invariants(field).reshape(2, q)[:, 1:]:
+        hist = np.bincount(row)
         values = np.flatnonzero(hist)
         per_class.append(dict(zip(values.tolist(), hist[values].tolist())))
     merged = dict(sorted((Counter(per_class[0]) + Counter(per_class[1])).items()))
@@ -256,17 +266,12 @@ def _depth_five_certificate(field: FieldSpec) -> int:
     (1, c^3 (a + x^3), c^5 (b + x^5)) with c = 1/(s1 + x).
     """
     m, q, n = field.m, field.q, field.q - 1
-    values = np.concatenate([invariants(field, 0), invariants(field, 1)])  # at Tr A << m | lam
-    # bit 0 of T[v] is Tr(1 * v); N(A, B) = values[key[A] ^ B]
-    key = (trace_mul_table(field) & 1) << m | power_table(field, 2) ^ np.arange(q) ^ 1
+    values, key = invariants(field), slot_key(field)  # N(A, B) = values[key[A] ^ B]
     near = values > 0  # the normal forms of depth 3 or 4; lam = 0 holds -1
     zero = int(np.count_nonzero(values == 0))
     s1, a, b = _open_states(values, key)
-    # scaled[log_of[v] + k] = v g^k: exp twice over, then a zero block that log_of[0] points into
-    exp, log = log_tables(field)
-    scaled = np.concatenate([exp, exp, 0 * exp])
-    log_of = np.append(2 * n, log[1:])
-    inv3, inv5 = -3 * log % n, -5 * log % n  # the logs of c^3 and c^5 at c = 1/s
+    scaled, log_of = scaling_table(field)
+    inv3, inv5 = -3 * log_of % n, -5 * log_of % n  # the logs of c^3 and c^5 at c = 1/s, s != 0
     cube, fifth = power_table(field, 3), power_table(field, 5)
     x = 1
     while len(s1):
@@ -367,9 +372,9 @@ def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:
     field = make_field(m, modulus)
     nonzero = slice(1, None)
     out: dict[int, int] = {}
-    for cls in (0, 1):
+    for cls, values in enumerate(invariants(field).reshape(2, -1)):
         t_combined = curves._traces_at(field, cls, nonzero)[-1]
-        const = field.q + 1 - t_combined - 24 * invariants(field, cls)[nonzero]
+        const = field.q + 1 - t_combined - 24 * values[nonzero]
         if (const != const[0]).any():
             seen = sorted(set(const.tolist()))
             raise AssertionError(f"boundary constant drifts within class {cls}: {seen}")

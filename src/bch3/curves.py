@@ -10,17 +10,16 @@ m these counts take three values, n1 = n2, n3 = n7, n4 = n5 = n6 = g
 (docs/count_table.md), so the cached, read-only table per field
 (_count_table) holds just n1, n3 and n5 for all lam, one Walsh-Hadamard
 transform each, and _ROW names the row that holds each n_i.  The trace
-class of A enters only through _rows, as off = Tr(A + 1), the trace of a
-constant added to phi1 and phi3: off = 1 flips them to n' = q - 1 - n and
-keeps n5.  Every per-curve value is a fixed form in these adjusted rows:
-the traces, coset.invariants, and each splitting count, whose
-inclusion-exclusion coefficients of (n1', n3', n5) SUBSETS holds.
+class of A enters through _rows as off = Tr(A + 1), the trace of a
+constant added to phi1 and phi3: off = 1 flips them to n' = q - 1 - n
+and keeps n5.  The traces and each splitting count (SUBSETS holds its
+coefficients of n1', n3', n5) are fixed forms in these adjusted rows;
+coset.invariants reads n1 + n3 unadjusted, with a sign per class.
 
-lambda_of reads a^2 from the square table.  CurveParams checks (class, b)
-on construction and derives lam = b + 1, so no instance holds an unchecked
-lam; j = lam^-4 is computed only when read, as exp[-4*log(lam) mod (q - 1)]
-from the log tables.  The count table's build reads only exp_table, not
-the log, so the first j read builds log with one scatter.
+CurveParams checks (class, b) on construction and derives lam = b + 1, so
+no instance holds an unchecked lam; j = lam^-4 is computed only when read,
+as exp[-4*log(lam) mod (q - 1)]: the count table reads only exp_table, so
+the first j read builds the log table with one scatter.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, _readonly, exp_table, log_tables, power_table, trace_mul_table
+from .gf2m import FieldSpec, _readonly, exp_table, log_tables, trace_mul_table
 
 # Coefficients of (n1', n3', n5) in split_count's sum over the subsets U.
 SUBSETS = {"f1f2": (2, 0, 1), "f3": (0, 1, 0), "f1f2f3": (2, 2, 3)}
@@ -43,14 +42,6 @@ class DegenerateLambdaError(ValueError):
 
     def __init__(self, given: str = "lam=0"):
         super().__init__(f"{given}: the curve degenerates into twelve lines")
-
-
-def lambda_of(field: FieldSpec, a: int, b: int) -> int:
-    """The family invariant b + a^2 + a + 1, with a^2 read from the
-    square table once a and then b are checked."""
-    field._check(a)  # before the table: a negative index would wrap
-    field._check(b)
-    return b ^ int(power_table(field, 2)[a]) ^ a ^ 1
 
 
 @dataclass(frozen=True)

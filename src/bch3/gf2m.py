@@ -311,6 +311,15 @@ def power_table(field: FieldSpec, k: int) -> np.ndarray:
     return _readonly(table)
 
 
+@lru_cache(maxsize=None)
+def scaling_table(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(scaled, log_of): scaled[log_of[v] + k] = v * g^k for every element v and
+    0 <= k < q - 1, both read-only: exp twice over, then a zero block that
+    log_of[0] = 2(q - 1) points into, so v = 0 needs no branch."""
+    exp, log = log_tables(field)
+    return _readonly(np.concatenate([exp, exp, 0 * exp])), _readonly(np.append(2 * len(exp), log[1:]))
+
+
 def inverse_table(field: FieldSpec) -> np.ndarray:
     """inv_table[x] = x^-1 for x in F_q^*, with inv_table[0] = 0 as filler."""
     return power_table(field, field.q - 2)

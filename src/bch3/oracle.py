@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .gf2m import FieldSpec, _readonly, _span_tables, log_tables, make_field, power_table
+from .gf2m import FieldSpec, _readonly, _span_tables, make_field, power_table, scaling_table
 
 BRUTE_Q_LIMIT = 1 << 15
 BFS_MAX_M = 13
@@ -152,22 +152,13 @@ def _group_order(field: FieldSpec) -> int:
     return 1 << _f2_rank(xs << 2 * field.m | _cube_fifth(field)[1:])
 
 
-@lru_cache(maxsize=None)
-def _scaling(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scaled, scaled << m, log_of): scaled[log_of[v] + k] = v * g^k for 0 <= k < q - 1,
-    zero included (two periods of exp, then the zero block log_of[0] points into)."""
-    exp, log = log_tables(field)
-    scaled = np.concatenate([exp, exp, 0 * exp])
-    return _readonly(scaled), _readonly(scaled << field.m), _readonly(np.append(2 * len(exp), log[1:]))
-
-
 def _orbit_labels(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """(label, listed): label[t] = the least state in the orbit of state t, an int32
     table over the 2q^2 states of _orbit_depths, and the sorted states that are their
     own label.  Closed form, with no orbit listed: a few tables of O(q) entries give
     each state's least member in one gather (see docs/covering_radius_bfs.md)."""
     m, q, n = field.m, field.q, field.q - 1
-    scaled, _, log_of = _scaling(field)
+    scaled, log_of = scaling_table(field)
     elements = np.arange(q)
     conj = np.empty((m, q), dtype=np.int64)  # conj[i, v] = v^(2^i)
     conj[0] = elements
@@ -234,7 +225,8 @@ def _orbit_depths(field: FieldSpec) -> np.ndarray:
     the group order.
     """
     m, q, n = field.m, field.q, field.q - 1
-    scaled, scaled_hi, log_of = _scaling(field)
+    scaled, log_of = scaling_table(field)
+    scaled_hi = scaled << m
     xs = np.arange(1, q, dtype=np.int64)
     cols = _cube_fifth(field)[1:]
     # per slice s1 and generator x: the s1 bit of s1 ^ x and the logs of the

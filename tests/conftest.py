@@ -160,11 +160,11 @@ def full_group_bfs_layers(m: int) -> tuple[int, ...]:
 
 
 def invariants_emptied_around(invariants, field: FieldSpec, state: tuple[int, int, int]):
-    """A stand-in for coset.invariants that reads N = 0 at every (Tr A', lam')
-    with lam' != 0 reached from the syndrome state (s1, a, b) by one step
-    (s1 + x, a + x^3, b + x^5) scaled to its normal form (1, A', B'): scalar
-    field products, one x at a time.  In its table the state has no
-    neighbour of depth <= 4."""
+    """A stand-in for coset.invariants that reads N = 0 at every slot
+    Tr A' << m | lam' with lam' != 0 reached from the syndrome state
+    (s1, a, b) by one step (s1 + x, a + x^3, b + x^5) scaled to its normal
+    form (1, A', B'): scalar field products, one x at a time.  In its table
+    the state has no neighbour of depth <= 4."""
     s1, a, b = state
     slots = set()
     for x in range(1, field.q):
@@ -172,11 +172,13 @@ def invariants_emptied_around(invariants, field: FieldSpec, state: tuple[int, in
             c = field.inv(s1 ^ x)
             big_a = field.mul(field.pow(c, 3), a ^ field.pow(x, 3))
             big_b = field.mul(field.pow(c, 5), b ^ field.pow(x, 5))
-            slots.add((trace_by_definition(field, big_a), big_b ^ field.mul(big_a, big_a) ^ big_a ^ 1))
+            lam = big_b ^ field.mul(big_a, big_a) ^ big_a ^ 1
+            if lam:
+                slots.add(trace_by_definition(field, big_a) << field.m | lam)
 
-    def emptied(f, cls):
-        values = invariants(f, cls).copy()
-        values[[lam for c, lam in slots if c == cls and lam]] = 0
+    def emptied(f):
+        values = invariants(f).copy()
+        values[sorted(slots)] = 0
         return values
 
     return emptied

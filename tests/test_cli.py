@@ -104,10 +104,9 @@ class TestCommands:
         # filler is not
         invariants = cli.coset.invariants
 
-        def perturbed(field, cls):
-            values = invariants(field, cls).copy()
-            if cls == 1:
-                values[7] += 2  # lam = 7 is B = 6
+        def perturbed(field):
+            values = invariants(field).copy()
+            values[1 << 9 | 7] += 2  # class 1, lam = 7 is B = 6
             return values
 
         monkeypatch.setattr(cli.coset, "invariants", perturbed)
@@ -120,10 +119,9 @@ class TestCommands:
         # B = 6 and 7 are lam = 7 and 6: the list keeps B's order, not lam's
         invariants = cli.coset.invariants
 
-        def perturbed(field, cls):
-            values = invariants(field, cls).copy()
-            if cls == 0:
-                values[[6, 7]] += 2
+        def perturbed(field):
+            values = invariants(field).copy()
+            values[[6, 7]] += 2  # class 0
             return values
 
         monkeypatch.setattr(cli.coset, "invariants", perturbed)
@@ -594,8 +592,10 @@ class TestFormatsAndErrors:
 
     def test_covering_radius_beyond_range_exit_one(self, capsys):
         # one rule for the whole command: odd m in closed form up to the
-        # range of bounds, even m by the BFS up to its table limit
-        rule = f"odd 5 <= m <= {cli.coset.BOUNDS_MAX_M} and even 4 <= m <= {cli.oracle.BFS_MAX_M}"
+        # range of bounds, even m by the BFS up to the largest even m within
+        # its table limit
+        largest_even = max(m for m in range(4, cli.oracle.BFS_MAX_M + 1, 2))
+        rule = f"odd 5 <= m <= {cli.coset.BOUNDS_MAX_M} and even 4 <= m <= {largest_even}"
         for m in (3, 14, 1029):
             assert cli.main(["covering-radius", "--m", str(m)]) == 1
             captured = capsys.readouterr()

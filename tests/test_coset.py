@@ -77,14 +77,15 @@ class TestNOf:
 
     @pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
     def test_table_indexed_by_lam(self, m):
-        # the invariant table has the count table's layout: column lam, with
-        # filler -1 at lam = 0, holds N at B = lam + 1 (A = 0 or 1, class A)
+        # slot cls << m | lam of the one invariant table holds N at
+        # B = lam + 1 (A = 0 or 1, class A), with filler -1 at lam = 0
         field = make_field(m)
+        values = coset.invariants(field)
+        assert values.shape == (2 * field.q,) and values[0] == values[field.q] == -1
         for cls in (0, 1):
-            values = coset.invariants(field, cls)
-            assert values[0] == -1
             for lam in range(1, field.q):
-                assert values[lam] == N_of(field, cls, lam ^ 1) == N_of_general(field, cls, lam ^ 1)
+                slot = cls << m | lam
+                assert values[slot] == N_of(field, cls, lam ^ 1) == N_of_general(field, cls, lam ^ 1)
 
     def test_lattice_gate_fires(self, monkeypatch):
         # row n1 two up at one lam moves 24N by 8, off the lattice
@@ -92,22 +93,21 @@ class TestNOf:
         perturbed = curves._count_table(field).copy()
         perturbed[0, 7] += 2
         monkeypatch.setattr(curves, "_count_table", lambda field: perturbed)
-        for cls in (0, 1):
-            with pytest.raises(AssertionError, match="^invariant left its lattice$"):
-                coset.invariants.__wrapped__(field, cls)
+        with pytest.raises(AssertionError, match="^invariant left its lattice$"):
+            coset.invariants.__wrapped__(field)
 
     def test_combine_peak(self):
-        # with the count table built: per class an int64 output of 8q and
-        # int32 transients of 4q each; the int64 combine traced 3 * 8q
+        # with the count table built: an int64 output of 2 * 8q for both
+        # classes, one int32 transient of 4q and a mask of q
         field = make_field(17)
         curves._count_table(field)
         tracemalloc.start()
         try:
-            rows = [coset.invariants.__wrapped__(field, cls) for cls in (0, 1)]
+            values = coset.invariants.__wrapped__(field)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [row.nbytes for row in rows] == [8 * field.q] * 2
+        assert values.nbytes == 2 * 8 * field.q
         assert peak <= 2.75 * 8 * field.q
 
     def test_split_pair_identity(self, f5):
@@ -120,7 +120,21 @@ class TestNOf:
                 assert 3 * N_of(f5, cls, b) == 2 * m_pairs
 
 
+def _lam_by_hand(field, a: int, b: int) -> int:
+    """lam = b + a^2 + a + 1 by a scalar product."""
+    return b ^ field.mul(a, a) ^ a ^ 1
+
+
 class TestNOfGeneral:
+    @pytest.mark.parametrize("largest", [False, True], ids=["default", "largest"])
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_slot_key_by_hand(self, m, largest):
+        # on the default modulus and on the largest irreducible of degree m
+        field = make_field(m, _largest_modulus(m) if largest else None)
+        key = coset.slot_key(field)
+        assert key.dtype == np.int64 and not key.flags.writeable
+        assert np.array_equal(key, _key_by_hand(field))
+
     def test_degenerate_rejected(self, f5):
         with pytest.raises(DegenerateLambdaError):
             N_of_general(f5, 0, 1)
@@ -128,7 +142,7 @@ class TestNOfGeneral:
     def test_normalization_rule(self, f5):
         for a in (0, 5, 17):
             for b in (0, 7, 23):
-                lam = curves.lambda_of(f5, a, b)
+                lam = _lam_by_hand(f5, a, b)
                 if lam == 0:
                     continue
                 assert N_of_general(f5, a, b) == N_of(f5, f5.trace(a), lam ^ 1)
@@ -142,7 +156,7 @@ class TestNOfGeneral:
         seen = 0
         while seen < 20:
             a, b = rng.randrange(32), rng.randrange(32)
-            if curves.lambda_of(f5, a, b) == 0:
+            if _lam_by_hand(f5, a, b) == 0:
                 continue
             assert N_of_general(f5, a, b) == oracle.brute_N(f5, a, b)
             seen += 1
@@ -169,7 +183,7 @@ class TestNOfGeneral:
         # all 992 nondegenerate (a, b): the normalization rule is exact
         for a in range(f5.q):
             for b in range(f5.q):
-                if curves.lambda_of(f5, a, b) != 0:
+                if _lam_by_hand(f5, a, b) != 0:
                     assert N_of_general(f5, a, b) == oracle.brute_N(f5, a, b)
 
 
@@ -230,10 +244,9 @@ class TestDistribution:
         # moment check can see it
         invariants = coset.invariants
 
-        def perturbed(field, cls):
-            values = invariants(field, cls).copy()
-            if cls == 0:
-                values[int(values[2:].argmin()) + 2] += 2
+        def perturbed(field):
+            values = invariants(field).copy()
+            values[int(values[2 : field.q].argmin()) + 2] += 2  # in class 0
             return values
 
         monkeypatch.setattr(coset, "invariants", perturbed)
@@ -310,11 +323,10 @@ class TestSecondMoment:
         # moves by 4(N_i - N_j) + 8 = 4(4 - 8) + 8 = -8
         invariants = coset.invariants
 
-        def swapped(field, cls):
-            values = invariants(field, cls).copy()
-            if cls == 0:
-                values[values.tolist().index(4)] += 2
-                values[values.tolist().index(8)] -= 2
+        def swapped(field):
+            values = invariants(field).copy()
+            values[values.tolist().index(4)] += 2
+            values[values.tolist().index(8)] -= 2
             return values
 
         monkeypatch.setattr(coset, "invariants", swapped)
@@ -398,6 +410,10 @@ def z_form_layers(m: int, zero: int) -> tuple[int, ...]:
     return (*low, q**3 - sum(low) - last, last)
 
 
+def _largest_modulus(m: int) -> int:
+    return next(p for p in range((2 << m) - 1, 1 << m, -1) if is_irreducible(p))
+
+
 def _key_by_hand(field) -> np.ndarray:
     """key[A] = Tr A << m | A^2 + A + 1 by scalar products, so that the
     invariant of the normal form (1, A, B) sits at slot key[A] ^ B."""
@@ -421,18 +437,15 @@ class TestCoveringLayers:
     @pytest.mark.parametrize("m", [5, 7, 9])
     def test_open_states_match_the_grid(self, m, largest):
         # on the default modulus and on the largest irreducible of degree m
-        modulus = next(p for p in range((2 << m) - 1, 1 << m, -1) if is_irreducible(p)) if largest else None
-        field = make_field(m, modulus)
-        values = np.concatenate([coset.invariants(field, 0), coset.invariants(field, 1)])
-        _assert_open_states_match_the_grid(values, _key_by_hand(field))
+        field = make_field(m, _largest_modulus(m) if largest else None)
+        _assert_open_states_match_the_grid(coset.invariants(field), _key_by_hand(field))
 
     @pytest.mark.parametrize("m", [5, 7])
     def test_open_states_match_the_grid_when_emptied(self, m):
         # more slots with N = 0 than the real table holds
         field = make_field(m)
         emptied = invariants_emptied_around(coset.invariants, field, (0, 1, 0))
-        values = np.concatenate([emptied(field, 0), emptied(field, 1)])
-        _assert_open_states_match_the_grid(values, _key_by_hand(field))
+        _assert_open_states_match_the_grid(emptied(field), _key_by_hand(field))
 
     def test_certificate_holds_no_q_squared_array(self):
         # the listing takes O(Z q) entries: one int64 array over the q^2
@@ -549,21 +562,19 @@ def _refuse(*args, **kwargs):
 
 
 TABLES = [(coset, "invariants"), (curves, "_count_table")]
-SQUARE = [(curves, "power_table")]
+KEY = [(coset, "slot_key")]
 LAM0 = DegenerateLambdaError
 # id: (entry point, field degree, the other arguments, the builders it must
 # not reach, the error it must raise)
 REFUSALS = {
-    "lambda_of-bad-a": (curves.lambda_of, 5, (32, 0), SQUARE, ValueError),
-    "lambda_of-bad-b": (curves.lambda_of, 5, (0, 32), SQUARE, ValueError),
     "curve_params-bad-b": (curve_params, 5, (0, 32), TABLES, ValueError),
     "curve_params-b1": (curve_params, 5, (0, 1), TABLES, LAM0),
     "curve_params-even-m": (curve_params, 6, (0, 0), TABLES, ValueError),
-    "CurveParams-b1": (curves.CurveParams, 5, (0, 1), TABLES + SQUARE, LAM0),
-    "CurveParams-b-q": (curves.CurveParams, 5, (1, 32), TABLES + SQUARE, ValueError),
-    "CurveParams-b-negative": (curves.CurveParams, 5, (0, -1), TABLES + SQUARE, ValueError),
-    "CurveParams-class2": (curves.CurveParams, 5, (2, 0), TABLES + SQUARE, ValueError),
-    "CurveParams-even-m": (curves.CurveParams, 6, (0, 0), TABLES + SQUARE, ValueError),
+    "CurveParams-b1": (curves.CurveParams, 5, (0, 1), TABLES, LAM0),
+    "CurveParams-b-q": (curves.CurveParams, 5, (1, 32), TABLES, ValueError),
+    "CurveParams-b-negative": (curves.CurveParams, 5, (0, -1), TABLES, ValueError),
+    "CurveParams-class2": (curves.CurveParams, 5, (2, 0), TABLES, ValueError),
+    "CurveParams-even-m": (curves.CurveParams, 6, (0, 0), TABLES, ValueError),
     "n_count-bad-lam": (curves.n_count, 5, (1, 32, 0), TABLES, ValueError),
     "n_count-lam0": (curves.n_count, 5, (1, 0, 0), TABLES, LAM0),
     "g_count-bad-lam": (curves.g_count, 5, (32,), TABLES, ValueError),
@@ -571,9 +582,9 @@ REFUSALS = {
     "N_of-bad-b": (N_of, 5, (0, 32), TABLES, ValueError),
     "N_of-b1": (N_of, 5, (1, 1), TABLES, LAM0),
     "N_of-even-m": (N_of, 6, (0, 0), TABLES, ValueError),
-    "N_of_general-bad-a": (N_of_general, 5, (32, 0), TABLES + SQUARE, ValueError),
-    "N_of_general-bad-b": (N_of_general, 5, (0, 32), TABLES + SQUARE, ValueError),
-    # lam = b + a^2 + a + 1 needs the square table, so only it is left open
+    "N_of_general-bad-a": (N_of_general, 5, (32, 0), TABLES + KEY, ValueError),
+    "N_of_general-bad-b": (N_of_general, 5, (0, 32), TABLES + KEY, ValueError),
+    # lam = 0 is seen in the slot key[a] ^ b, so only the key is left open
     "N_of_general-lam0": (N_of_general, 5, (0, 1), TABLES, LAM0),
     # a row no earlier test reads, so no row cached by a test can hide the order
     "brute_N-bad-b": (oracle.brute_N, 7, (0x55, 128), [(oracle, "weight4_rows")], ValueError),

@@ -14,7 +14,6 @@ from bch3.curves import (
     curve_params,
     curve_traces,
     g_count,
-    lambda_of,
     n_count,
     n_counts_all,
     split_count,
@@ -45,14 +44,22 @@ COVERS = {"f1f2": (1, 2), "f3": (3,), "f1f2f3": (1, 2, 3)}
 
 
 class TestLambda:
+    """lam = b + a^2 + a + 1 is the low m bits of the slot key[a] ^ b that
+    coset.N_of_general reads; Tr a is its bit m."""
+
     def test_base_cases(self, f5):
-        assert lambda_of(f5, 0, 0) == 1
-        assert lambda_of(f5, 1, 0) == 1
+        key = coset.slot_key(f5)
+        assert key[0] == 1 and key[1] == 1 << 5 | 1  # lam = 1 at (0, 0) and (1, 0); Tr 1 = 1
+        assert coset.N_of_general(f5, 0, 0) == coset.N_of(f5, 0, 0)
+        assert coset.N_of_general(f5, 1, 0) == coset.N_of(f5, 1, 0)
 
     def test_degenerate_locus(self, f5):
+        key = coset.slot_key(f5)
         for a in range(f5.q):
             b = f5.square(a) ^ a ^ 1
-            assert lambda_of(f5, a, b) == 0
+            assert key[a] ^ b == f5.trace(a) << 5
+            with pytest.raises(DegenerateLambdaError, match=f"^a=0x{a:x}, b=0x{b:x} give lam=0: "):
+                coset.N_of_general(f5, a, b)
 
     def test_params_reject_degenerate(self, f5):
         with pytest.raises(DegenerateLambdaError):
@@ -97,15 +104,19 @@ class TestLambda:
             assert params.j_invariant == field.inv(field.pow(lam, 4))
 
     def test_lambda_matches_scalar_square(self, f7):
+        key = coset.slot_key(f7)
         for a in range(f7.q):
             for b in (0, 1, 0x5A):
-                assert lambda_of(f7, a, b) == b ^ f7.square(a) ^ a ^ 1
+                lam = b ^ f7.square(a) ^ a ^ 1
+                assert key[a] ^ b == f7.trace(a) << 7 | lam
+                if lam:
+                    assert coset.N_of_general(f7, a, b) == coset.N_of(f7, f7.trace(a), lam ^ 1)
 
     @pytest.mark.parametrize("a", [-1, 128])
     def test_lambda_rejects_non_elements(self, f7, a):
-        # a negative index would otherwise wrap around the square table
-        with pytest.raises(ValueError):
-            lambda_of(f7, a, 0)
+        # a negative index would otherwise wrap around the slot key
+        with pytest.raises(ValueError, match="is not an element of F_2\\^7$"):
+            coset.N_of_general(f7, a, 0)
 
 
 class TestPhiEval:
@@ -390,12 +401,12 @@ class TestSplitCounts:
         # the row form (2, 2, 3) of f1f2f3 is the one in 24N, so the
         # triple count is 3N/2 at every lam (docs/count_table.md)
         field = make_field(m)
+        values = coset.invariants(field)
         for cls in (0, 1):
-            values = coset.invariants(field, cls)
             for b in range(field.q):
                 if b != 1:
                     split = split_count("f1f2f3", curve_params(field, cls, b))
-                    assert 2 * split == 3 * values[b ^ 1]  # lam = B + 1
+                    assert 2 * split == 3 * values[cls << m | b ^ 1]  # lam = B + 1
 
     @pytest.mark.parametrize("m", [5, 7])
     def test_interval_membership(self, m):

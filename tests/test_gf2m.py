@@ -21,6 +21,7 @@ from bch3.gf2m import (
     mul_const,
     make_field,
     power_table,
+    scaling_table,
     trace_mul_table,
 )
 from conftest import irreducible_by_trial_division, mul_array, trace_by_definition
@@ -324,6 +325,18 @@ class TestArrayKernel:
         ks |= set(random.Random(field.modulus).sample(range(n), min(n, 64))) | {n - 1}
         for k in sorted(ks):
             assert int(exp[k]) == field.pow(g, k)
+
+    @pytest.mark.parametrize(
+        "field", [f for f in _kernel_fields() if f.m <= 8], ids=lambda f: f"m{f.m}-0x{f.modulus:x}"
+    )
+    def test_scaling_table_scales_every_element(self, field):
+        # scaled[log_of[v] + k] = v * g^k for every v, zero included, and
+        # every k < q - 1, against shift-and-reduce products (m = 2..8)
+        scaled, log_of = scaling_table(field)
+        exp = exp_table(field)
+        v = np.arange(field.q, dtype=np.int64)[:, None]
+        assert np.array_equal(scaled[log_of[v] + np.arange(field.q - 1)], mul_array(field, v, exp))
+        assert not scaled.flags.writeable and not log_of.flags.writeable
 
     def test_mul_const_all_pairs(self, f5):
         xs = np.arange(f5.q, dtype=np.int64)

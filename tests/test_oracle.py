@@ -118,8 +118,8 @@ class TestBruteN:
         # published m = 11, 13 tables and the profile
         field = make_field(m, modulus)
         b = np.arange(1, field.q) ^ 1
-        for cls in (0, 1):
-            row, values = oracle.weight4_rows(field, (cls,))[0], coset.invariants(field, cls)
+        for cls, values in enumerate(coset.invariants(field).reshape(2, -1)):
+            row = oracle.weight4_rows(field, (cls,))[0]
             assert row[1] == 0  # the degenerate lam = 0 carries no 4-set
             assert np.array_equal(row[b], values[1:])
 
@@ -328,8 +328,8 @@ class TestOrbitLabels:
         m = 6
         field = FieldSpec(m, find_default_modulus(m))
         monkeypatch.setattr(oracle, "make_field", lambda m: field)
-        built, reads = [], []
-        for name, record in [("log_tables", built), ("power_table", built), ("_cube_fifth", reads)]:
+        built, reads, scalings = [], [], []
+        for name, record in [("power_table", built), ("_cube_fifth", reads), ("scaling_table", scalings)]:
             original = getattr(oracle, name)
 
             def spy(*args, original=original, record=record):
@@ -339,9 +339,10 @@ class TestOrbitLabels:
 
             monkeypatch.setattr(oracle, name, spy)
         covering_radius(m)
-        # _scaling reads the log tables once for both searches, and the
-        # column table reads x^3 and x^5 once for the group order and the step
-        assert sorted(args for args, _ in built if args != (2,)) == [(), (3,), (5,)]
+        # the label pass and the search read one cached scaling table, and
+        # the column table reads x^3 and x^5 once for the group order and the step
+        assert len(scalings) == 2 and all(table is scalings[0][1] for _, table in scalings)
+        assert sorted(args for args, _ in built if args != (2,)) == [(3,), (5,)]
         oracle.weight4_rows(field, (0,))
         assert len(reads) == 3  # _group_order, _orbit_depths, weight4_rows
         assert all(table is reads[0][1] for _, table in reads)
@@ -470,13 +471,12 @@ class TestCoveringRadius:
         # the s1 = 1 slice is the (1, A, B) parameter plane: a weight-4
         # word with syndrome (1, A, B) exists iff that coset has weight <= 4.
         # N(A, B) is the normalized invariant of class Tr(A) at
-        # lam = B + A^2 + A + 1; lam = 0 is left out.
+        # lam = B + A^2 + A + 1, one gather at slot key[A] ^ B; lam = 0 is
+        # left out.
         field = make_field(m)
         q = field.q
         plane = oracle._orbit_depths(field)[q * q :].reshape(q, q)
-        a, b = np.arange(q)[:, None], np.arange(q)
-        lam = b ^ power_table(field, 2)[a] ^ a ^ 1
-        trace = np.array([field.trace(v) for v in range(q)])
-        values = np.stack([coset.invariants(field, cls) for cls in (0, 1)])[trace[a], lam]
-        valid = lam != 0
+        slot = coset.slot_key(field)[:, None] ^ np.arange(q)  # row A, column B
+        values = coset.invariants(field)[slot]
+        valid = slot & (q - 1) != 0
         assert np.array_equal((values > 0)[valid], (plane <= 4)[valid])
