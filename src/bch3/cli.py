@@ -124,7 +124,7 @@ def _cmd_verify(args) -> dict:
     return payload
 
 
-_COVERING_RANGE = f"odd 5 <= m <= {coset.BOUNDS_MAX_M} and even 4 <= m <= {oracle.BFS_MAX_M // 2 * 2}"
+_COVERING_RANGE = f"odd 5 <= m <= {coset.BOUNDS_MAX_M} and even 4 <= m <= {oracle.BFS_MAX_M}"
 
 
 def _cmd_covering_radius(args) -> dict:

@@ -7,6 +7,8 @@ lam = B + 1 is 24N = 6*n5 - 2(q + 1) -+ 4(n1 + n3 - q): minus in class
 x_i -> x_i + s fixes lam = B + A^2 + A + 1 and the trace class of A, so
 N depends on (A, B) only through the slot Tr A << m | lam: invariants
 holds N at every slot, and (A, B) reads slot slot_key[A] ^ B.
+calibrate_boundary checks the curve traces against this formula at
+lam = 1, by the constant that docs/count_table.md proves links them.
 """
 
 from __future__ import annotations
@@ -364,19 +366,16 @@ def gamma_report(m: int, gamma, table: DistributionTable | None = None) -> Gamma
 def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:
     """Constant linking the combined trace to the invariant, per class.
 
-    For every valid B the quantity q + 1 - t_combined - 24*N must come out
-    the same within a trace class (the rational points sitting above
-    x = 0, 1, infinity); a drift signals a broken boundary convention in
-    the trace derivation.  One array pass over the lam != 0 columns.
+    q + 1 - t_combined - 24*N = 12*Tr A at every lam for any count rows
+    (docs/count_table.md).  This reads b = 0, lam = 1, where every trace is
+    nonzero, so a slipped constant or coefficient in t_combined moves it,
+    and raises unless it is 0 in class 0 and 12 in class 1.
     """
     field = make_field(m, modulus)
-    nonzero = slice(1, None)
     out: dict[int, int] = {}
-    for cls, values in enumerate(invariants(field).reshape(2, -1)):
-        t_combined = curves._traces_at(field, cls, nonzero)[-1]
-        const = field.q + 1 - t_combined - 24 * values[nonzero]
-        if (const != const[0]).any():
-            seen = sorted(set(const.tolist()))
-            raise AssertionError(f"boundary constant drifts within class {cls}: {seen}")
-        out[cls] = int(const[0])
+    for cls in (0, 1):
+        t_combined = curves.curve_traces(curves.curve_params(field, cls, 0)).t_combined
+        out[cls] = field.q + 1 - t_combined - 24 * N_of(field, cls, 0)
+        if out[cls] != 12 * cls:
+            raise AssertionError(f"boundary constant in class {cls} is {out[cls]}, not the proven {12 * cls}")
     return out

@@ -17,9 +17,9 @@ coefficients of n1', n3', n5) are fixed forms in these adjusted rows;
 coset.invariants reads n1 + n3 unadjusted, with a sign per class.
 
 CurveParams checks (class, b) on construction and derives lam = b + 1, so
-no instance holds an unchecked lam; j = lam^-4 is computed only when read,
-as exp[-4*log(lam) mod (q - 1)]: the count table reads only exp_table, so
-the first j read builds the log table with one scatter.
+no instance holds an unchecked lam; j = lam^-4 = lam^(q - 5) is computed
+only when read, by one scalar power, so reading it builds no per-field
+table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2m import FieldSpec, _readonly, exp_table, log_tables, trace_mul_table
+from .gf2m import FieldSpec, _readonly, exp_table, trace_mul_table
 
 # Coefficients of (n1', n3', n5) in split_count's sum over the subsets U.
 SUBSETS = {"f1f2": (2, 0, 1), "f3": (0, 1, 0), "f1f2f3": (2, 2, 3)}
@@ -59,10 +59,8 @@ class CurveParams:
 
     @property
     def j_invariant(self) -> int:
-        """j = lam^-4, read off the field's log tables as
-        exp[-4*log(lam) mod (q - 1)]."""
-        exp, log = log_tables(self.field)
-        return int(exp[-4 * int(log[self.lam]) % (self.field.q - 1)])
+        """j = lam^-4 = lam^(q - 5), as lam^(q - 1) = 1."""
+        return self.field.pow(self.lam, self.field.q - 5)
 
 
 curve_params = CurveParams  # the checked constructor, under its functional name
@@ -226,44 +224,35 @@ def _lam(field: FieldSpec, trace_class_a: int, b: int) -> int:
     return lam
 
 
-def _rows(field: FieldSpec, trace_class_a: int, lam):
-    """(off, n1', n3', n5) at lam, off = Tr(A + 1): n1' and n3' count phi1 + c
-    and phi3 + c, c a constant of trace off (q - 1 - n when off = 1), and
-    phi5 = phi1 + phi3 carries c twice.  One int lam gives Python ints; an
-    index array or slice over the table's columns gives arrays."""
+def _rows(field: FieldSpec, trace_class_a: int, lam: int) -> tuple[int, int, int, int]:
+    """(off, n1', n3', n5) at one lam, off = Tr(A + 1): n1' and n3' count
+    phi1 + c and phi3 + c, c a constant of trace off (q - 1 - n when
+    off = 1), and phi5 = phi1 + phi3 carries c twice."""
     off = _offset(field, trace_class_a)
-    columns = _count_table(field)[:, lam]
-    n1, n3, n5 = columns if columns.ndim > 1 else columns.tolist()
+    n1, n3, n5 = _count_table(field)[:, lam].tolist()
     if off:
         n1, n3 = field.q - 1 - n1, field.q - 1 - n3
     return off, n1, n3, n5
 
 
-def _traces_at(field: FieldSpec, trace_class_a: int, lam):
-    """(n, t1, t3, t5, tg, t_combined) at one lam, or elementwise over an
-    index array or slice of nonzero lams, from the count table.  lam is not checked:
-    both callers pass lam already validated.
+def curve_traces(params: CurveParams) -> TraceProfile:
+    """Fibre counts and Frobenius traces of the seven Jacobian factors,
+    from the count table.
 
     Boundary conventions: the cubic-polynomial cover contributes one point
     at infinity (t1 counts over F_q plus that point); the covers with
     poles contribute one ramified point per pole (t3, t5, tg count over
     F_q^* plus two points).
     """
-    q = field.q
-    off, n1, n3, n5 = _rows(field, trace_class_a, lam)
-    n = [(n1, n3, n5)[r] for r in _ROW]
+    q = params.field.q
+    off, n1, n3, n5 = _rows(params.field, params.trace_class_a, params.lam)
     # x = 0 lies on the polynomial cover; its fibre splits iff the constant
     # has trace zero.
     t1 = q - 2 * (n1 + (1 - off))
     t3 = q - 1 - 2 * n3
     t5 = q - 1 - 2 * n5
-    return n, t1, t3, t5, t5, 2 * t1 + 2 * t3 + 3 * t5  # tg = t5, as g_count = n5
-
-
-def curve_traces(params: CurveParams) -> TraceProfile:
-    """Fibre counts and Frobenius traces of the seven Jacobian factors."""
-    n, *traces = _traces_at(params.field, params.trace_class_a, params.lam)
-    return TraceProfile(tuple(n), *traces)
+    n = tuple((n1, n3, n5)[r] for r in _ROW)
+    return TraceProfile(n, t1, t3, t5, t5, 2 * t1 + 2 * t3 + 3 * t5)  # tg = t5, as g_count = n5
 
 
 def _coefficients(subset: str) -> tuple[int, int, int]:

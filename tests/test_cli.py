@@ -143,6 +143,24 @@ class TestCommands:
         assert seen == [0x89]
         assert report["payload"]["boundary"] == {"0": 0, "1": 12}
 
+    def test_verify_refuses_a_slipped_boundary_point(self, capsys, monkeypatch):
+        # n1' one up moves t_combined by a constant, so the constant at lam = 1
+        # leaves its proven value; N reads the count table, not _rows
+        rows = cli.curves._rows
+
+        def slipped(*args):
+            off, n1, n3, n5 = rows(*args)
+            return off, n1 + 1, n3, n5
+
+        monkeypatch.setattr(cli.curves, "_rows", slipped)
+        message = "boundary constant in class 0 is 4, not the proven 0"
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            cli.coset.calibrate_boundary(7)
+        assert cli.main(["verify", "--m", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_verify_m11_is_exhaustive(self, capsys):
         # every run compares all 2(q - 1) pairs; there is no sampled mode
         code, report = run_json(capsys, "verify", "--m", "11")
@@ -188,7 +206,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("m, method", [(6, "bfs"), (13, "closed_form")])
     def test_covering_radius_method_by_parity(self, capsys, m, method):
-        # m = 13 is in the search's range, but odd m take the closed form
+        # odd m take the closed form; the search stops at the largest even m, 12
         code, report = run_json(capsys, "covering-radius", "--m", str(m))
         assert code == 0
         assert report["payload"]["method"] == method

@@ -538,7 +538,7 @@ class TestCalibration:
         assert calibrate_boundary(5) == {0: 0, 1: 12}
         assert calibrate_boundary(7) == {0: 0, 1: 12}
         assert calibrate_boundary(7, 0x89) == {0: 0, 1: 12}
-        for m in (3, 9, 11, 13, 15):  # one array pass, at every odd m
+        for m in (3, 9, 11, 13, 15):  # one column, lam = 1, at every odd m
             assert calibrate_boundary(m) == {0: 0, 1: 12}
 
     def test_unsupported_m(self):
@@ -546,15 +546,16 @@ class TestCalibration:
         with pytest.raises(ValueError, match="odd extension degree"):
             calibrate_boundary(6)
 
-    def test_combined_trace_identity(self, f5):
-        boundary = {0: 0, 1: 12}
-        q = f5.q
+    @pytest.mark.parametrize("m", [5, 7, 9, 11])
+    def test_combined_trace_identity(self, m):
+        # calibrate_boundary reads lam = 1 only; the identity holds at every lam
+        field = make_field(m)
         for cls in (0, 1):
-            for b in range(q):
+            for b in range(field.q):
                 if b == 1:
                     continue
-                profile = curve_traces(curve_params(f5, cls, b))
-                assert q + 1 - profile.t_combined == 24 * N_of(f5, cls, b) + boundary[cls]
+                profile = curve_traces(curve_params(field, cls, b))
+                assert field.q + 1 - profile.t_combined == 24 * N_of(field, cls, b) + 12 * cls
 
 
 def _refuse(*args, **kwargs):

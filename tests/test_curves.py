@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bch3 import coset, curves
+from bch3 import coset, curves, gf2m
 from bch3.curves import (
     CurveParams,
     DegenerateLambdaError,
@@ -81,20 +81,23 @@ class TestLambda:
             assert f5.mul(params.j_invariant, f5.pow(params.lam, 4)) == 1
 
     def test_j_invariant_computed_when_read(self, f5, monkeypatch):
-        # the counts never need j; only reading it touches the log tables
-        def refuse(field):
-            raise LookupError("log tables read")
+        # j = lam^(q - 5) by one scalar power: neither the counts nor
+        # reading j builds a per-field log or power table
+        def refuse(*args):
+            raise LookupError("a per-field table was built")
 
-        monkeypatch.setattr(curves, "log_tables", refuse)
-        params = curve_params(f5, 0, 2)
-        curve_traces(params)
-        split_count("f1f2", params)
-        with pytest.raises(LookupError):
-            params.j_invariant
+        for name in ("log_tables", "power_table"):
+            monkeypatch.setattr(gf2m, name, refuse)
+            assert not hasattr(curves, name)  # no copy of the name escapes the patch
+        for b in (0, 2, 30):
+            params = curve_params(f5, b & 1, b)
+            curve_traces(params)
+            split_count("f1f2", params)
+            assert params.j_invariant == f5.inv(f5.pow(params.lam, 4))
 
     @pytest.mark.parametrize("m, sample", [(7, None), (9, None), (13, 200)])
     def test_j_invariant_matches_scalar_reference(self, m, sample):
-        # the log-table lookup against the scalar bit loops
+        # the single power lam^(q - 5) against inverting lam^4
         field = make_field(m)
         lams = range(1, field.q)
         if sample:
@@ -425,7 +428,7 @@ class TestSplitCounts:
         # trace_class_a is Tr(A) for normalized A, so only 0 and 1 are classes
         bad_class = "trace_class_a must be 0 or 1"
         with pytest.raises(ValueError, match=bad_class):
-            curves._traces_at(f5, cls, 3)
+            curves._rows(f5, cls, 3)
         with pytest.raises(ValueError, match=bad_class):
             split_count("f3", dataclasses.replace(curve_params(f5, 0, 2), trace_class_a=cls))
         with pytest.raises(ValueError, match=bad_class):
@@ -476,15 +479,12 @@ class TestAdjustedRows:
     @pytest.mark.parametrize("m", [5, 7])
     def test_rows_match_per_x_counts(self, m):
         field = make_field(m)
-        batched = {cls: curves._rows(field, cls, np.arange(1, field.q)) for cls in (0, 1)}
         for lam in range(1, field.q):
             n5 = n_count_slow(field, 5, lam, 0)  # phi5 = phi1 + phi3 carries c twice
             for cls in (0, 1):
                 off = field.trace(cls ^ 1)  # Tr(A + 1) at the normalized A = cls
                 n1, n3 = (n_count_slow(field, i, lam, off) for i in (1, 3))
                 assert curves._rows(field, cls, lam) == (off, n1, n3, n5)
-                off_batched, *rows = batched[cls]
-                assert (off_batched, *(int(row[lam - 1]) for row in rows)) == (off, n1, n3, n5)
 
 
 class TestExponentialSums:

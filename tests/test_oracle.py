@@ -20,7 +20,7 @@ cached_report = lru_cache(maxsize=None)(covering_radius)
 LAYERS_M10 = (1, 1023, 522753, 177910271, 893909676, 1398100)
 LAYERS_M11 = (1, 2047, 2094081, 1427465215, 7154780844, 5592404)
 LAYERS_M12 = (1, 4095, 8382465, 11436476415, 57252244140, 22369620)
-# m = 13 takes about 3 s and 800 MB, too much for the suite; its run is recorded in the doc
+# the search refuses m = 13 (about 3 s and 800 MB when it ran); its run is recorded in the doc
 LAYERS_M13 = (1, 8191, 33542145, 91558875135, 458073909932, 89478484)
 RECORDED = {13: LAYERS_M13}
 BFS_DOC = Path(__file__).parents[1] / "docs" / "covering_radius_bfs.md"
