@@ -6,15 +6,15 @@ lam = B + 1 is 24N = 6*n5 - 2(q + 1) -+ 4(n1 + n3 - q): minus in class
 0, where Tr(A + 1) = 1, and plus in class 1.  The translation
 x_i -> x_i + s fixes lam = B + A^2 + A + 1 and the trace class of A, so
 N depends on (A, B) only through the slot Tr A << m | lam: invariants
-holds N at every slot, and (A, B) reads slot slot_key[A] ^ B.
-calibrate_boundary checks the curve traces against this formula at
-lam = 1, by the constant that docs/count_table.md proves links them.
+holds N at every slot, and (A, B) reads slot slot_key[A] ^ B.  Both
+read the two rows n1 + n3 and n5 of curves._count_table, never n1 alone.
+calibrate_boundary checks the combined curve trace against this formula
+at lam = 1, by the constant that docs/count_table.md proves links them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -35,13 +35,12 @@ def invariants(field: FieldSpec) -> np.ndarray:
     the lattice (for 24N >= 0, 48 | 24N exactly when 24 | 24N and N is
     even) with the lam = 0 slots zeroed."""
     q = field.q
-    n1, n3, n5 = curves._count_table(field)
+    n13, n5 = curves._count_table(field)
     out = np.empty(2 * q, dtype=np.int64)
     low, high = out[:q], out[q:]
     np.multiply(n5, 6, out=low)
     low -= 2 * q + 2
-    swing = n1 + n3  # int32, as the count table: |4(n1 + n3 - q)| <= 4q
-    swing -= q
+    swing = n13 - q  # int32, as the count table: |4(n1 + n3 - q)| <= 4q
     swing *= 4
     np.add(low, swing, out=high)
     low -= swing
@@ -113,26 +112,24 @@ class DistributionTable:
 def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     """Exact value histogram for one odd m from 5 to gf2m.TABLE_MAX_M.
 
-    Values for both trace classes come out of a single batched pass over
-    the fibre-count tables; B is the element lam + 1 as lam runs over
-    F_q^*, so exactly q - 1 parameters land in each class.  Checked
-    before it is returned: the first moment sum N = (q - 2)(q - 4)/12,
-    the refined interval and the second moment.
+    Values for both trace classes come out of the invariant table, one
+    histogram per class, and the two are added as arrays; B is the element
+    lam + 1 as lam runs over F_q^*, so exactly q - 1 parameters land in
+    each class.  Checked before it is returned, in Python ints over the
+    distinct values, so exact at every m: the first moment
+    sum N = (q - 2)(q - 4)/12, the refined interval and the second moment.
     """
     require_odd(m)
     if m < 5:  # at m = 3, x^5 = (x^3)^4: the code corrects only two errors
         raise ValueError(f"the tables need m >= 5, got m={m}")
     field = make_field(m, modulus)
     q = field.q
-    per_class = []
-    for row in invariants(field).reshape(2, q)[:, 1:]:
-        hist = np.bincount(row)
-        values = np.flatnonzero(hist)
-        per_class.append(dict(zip(values.tolist(), hist[values].tolist())))
-    merged = dict(sorted((Counter(per_class[0]) + Counter(per_class[1])).items()))
-    table = DistributionTable(
-        m=m, modulus=field.modulus, per_class=(per_class[0], per_class[1]), normalized=merged
-    )
+    rows = invariants(field).reshape(2, q)[:, 1:]
+    width = int(rows.max()) + 1
+    c0, c1 = (np.bincount(row, minlength=width) for row in rows)
+    merged = _histogram(c0 + c1)
+    per_class = (_histogram(c0), _histogram(c1))
+    table = DistributionTable(m=m, modulus=field.modulus, per_class=per_class, normalized=merged)
     # lam = 0 carries N = 0, so the q(q - 2)(q - 4)/24 subsets of sum 1,
     # spread over q/2 values of A per class, all land on lam != 0
     if 12 * sum(value * count for value, count in merged.items()) != (q - 2) * (q - 4):
@@ -144,6 +141,12 @@ def distribution(m: int, modulus: int | None = None) -> DistributionTable:
     if flat_pairs(m) + (q - 1) * (q // 2) * pairs != 70 * weight8_count(m):
         raise AssertionError("second moment: P_0 + (q - 1)(q/2) sum N(N - 1) must be 70 A_8")
     return table
+
+
+def _histogram(counts: np.ndarray) -> dict[int, int]:
+    """{value: count} over the nonzero bins of a bincount, values ascending."""
+    values = np.flatnonzero(counts)
+    return dict(zip(values.tolist(), counts[values].tolist()))
 
 
 def dual_weight_distribution(m: int) -> dict[int, int]:
@@ -369,12 +372,14 @@ def calibrate_boundary(m: int, modulus: int | None = None) -> dict[int, int]:
     q + 1 - t_combined - 24*N = 12*Tr A at every lam for any count rows
     (docs/count_table.md).  This reads b = 0, lam = 1, where every trace is
     nonzero, so a slipped constant or coefficient in t_combined moves it,
-    and raises unless it is 0 in class 0 and 12 in class 1.
+    and raises unless it is 0 in class 0 and 12 in class 1.  t_combined
+    comes from n1' + n3' and n5 of the two-row count table, through the
+    formula that curves.curve_traces reports, so no n1 row is built.
     """
     field = make_field(m, modulus)
     out: dict[int, int] = {}
     for cls in (0, 1):
-        t_combined = curves.curve_traces(curves.curve_params(field, cls, 0)).t_combined
+        t_combined = curves._combined_trace(field.q, *curves._sum_rows(field, cls, 1))
         out[cls] = field.q + 1 - t_combined - 24 * N_of(field, cls, 0)
         if out[cls] != 12 * cls:
             raise AssertionError(f"boundary constant in class {cls} is {out[cls]}, not the proven {12 * cls}")

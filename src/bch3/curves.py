@@ -7,14 +7,19 @@ y^2 + y = f(x) of the x-line, where f runs over seven combinations of
 
 their pairwise sums and the triple sum, plus g = lam*x^3 + 1/x.  At odd
 m these counts take three values, n1 = n2, n3 = n7, n4 = n5 = n6 = g
-(docs/count_table.md), so the cached, read-only table per field
-(_count_table) holds just n1, n3 and n5 for all lam, one Walsh-Hadamard
-transform each, and _ROW names the row that holds each n_i.  The trace
+(docs/count_table.md).  N reads them only through n1 + n3 and n5, so the
+cached, read-only table per field (_count_table) holds just those two
+rows for all lam, one Walsh-Hadamard transform each: the transform is
+linear, so the phi1 and phi3 mask histograms are added before it.  The
+point reads (traces, split counts, n_count) take n1, n3 and n5 apart from
+a second, lazily built table (_point_table), whose n1 row is one more
+transform, and _ROW names the row of it that holds each n_i.  The trace
 class of A enters through _rows as off = Tr(A + 1), the trace of a
 constant added to phi1 and phi3: off = 1 flips them to n' = q - 1 - n
 and keeps n5.  The traces and each splitting count (SUBSETS holds its
 coefficients of n1', n3', n5) are fixed forms in these adjusted rows;
-coset.invariants reads n1 + n3 unadjusted, with a sign per class.
+coset.invariants reads n1 + n3 unadjusted, with a sign per class, and
+t_combined (_combined_trace) reads n1' + n3', so neither builds n1 alone.
 
 CurveParams checks (class, b) on construction and derives lam = b + 1, so
 no instance holds an unchecked lam; j = lam^-4 = lam^(q - 5) is computed
@@ -78,7 +83,7 @@ class TraceProfile:
     t_combined: int
 
 
-# The count table row that holds n_i, at index i - 1: n1 and n2 in row 0,
+# The point table row that holds n_i, at index i - 1: n1 and n2 in row 0,
 # n3 and n7 in row 1, n4, n5 and n6 in row 2 (docs/count_table.md).
 _ROW = (0, 0, 1, 2, 2, 2, 1)
 
@@ -110,25 +115,33 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return src
 
 
-def _mask_histograms(field: FieldSpec) -> np.ndarray:
-    """int32 array of shape (3, q) whose row transforms are the character
-    sums of phi1, phi3 and phi5, with the elements of F_q^* taken in
-    exponent order, x = g^k for 0 <= k < n = q - 1 (docs/count_table.md).
-
-    T = trace_mul_table is linear, so with texp = T[exp] the mask of x^3 + x
-    is texp[3k mod n] ^ texp[k], that of 1/x + x is texp[-k mod n] ^ texp[k],
-    and that of phi5 = phi1 + phi3 the xor of both, built in place after
-    their bincounts.  No cube, inverse or log table is read, and the
-    q-sized masks die with this frame.
+def _phi1_mask(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(texp, M1) with the elements of F_q^* taken in exponent order,
+    x = g^k for 0 <= k < n = q - 1 (docs/count_table.md): texp = T[exp],
+    and M1[k] = texp[3k mod n] ^ texp[k], the mask of x^3 + x, as
+    T = trace_mul_table is linear.  No cube, inverse or log table is read.
     """
-    q, n = field.q, field.q - 1
-    texp = trace_mul_table(field)[exp_table(field)]
+    n = field.q - 1
     # k -> 3k mod n permutes the exponents when 3 does not divide n (odd m):
     # the k with j*n <= 3k < (j + 1)*n read texp from (-j*n) mod 3 in steps of 3
     if n % 3 == 0:
         raise AssertionError("3k mod n must run through every exponent")
+    texp = trace_mul_table(field)[exp_table(field)]
     m1 = np.concatenate([texp[-j * n % 3 :: 3] for j in range(3)])
     m1 ^= texp
+    return texp, m1
+
+
+def _mask_histograms(field: FieldSpec) -> np.ndarray:
+    """int32 array of shape (2, q) whose row transforms are S1 + S3 and
+    S5, the character sums of phi1 and phi3 added, and that of phi5.
+
+    The mask of 1/x + x is texp[-k mod n] ^ texp[k], and that of
+    phi5 = phi1 + phi3 the xor of both, built in place after their
+    bincounts.  The q-sized masks die with this frame.
+    """
+    q, n = field.q, field.q - 1
+    texp, m1 = _phi1_mask(field)
     # the phi3 mask is symmetric, m3[k] = m3[n - k], so it overwrites texp:
     # one half from the two halves, then its mirror image (n is odd)
     half = n // 2
@@ -136,38 +149,72 @@ def _mask_histograms(field: FieldSpec) -> np.ndarray:
     m3[1 : half + 1] ^= m3[:half:-1]
     m3[half + 1 :] = m3[half:0:-1]
     m3[0] = 0
-    sums = np.empty((3, q), dtype=np.int32)
+    sums = np.empty((2, q), dtype=np.int32)
     sums[0] = np.bincount(m1, minlength=q)
+    # added in int32 through row 1: an int64 operand costs a cast buffer
     sums[1] = np.bincount(m3, minlength=q)
+    sums[0] += sums[1]
     m1 ^= m3  # phi5 = phi1 + phi3
-    sums[2] = np.bincount(m1, minlength=q)
+    sums[1] = np.bincount(m1, minlength=q)
+    return sums
+
+
+def _halve(sums: np.ndarray, totals: tuple[int, ...]) -> np.ndarray:
+    """Counts from transformed rows, in place: a row whose histogram holds
+    `total` masks has n = (S + total)/2 at every lam, and the parity gate
+    refuses an odd numerator."""
+    sums += np.array(totals, dtype=sums.dtype)[:, None]
+    if (sums & 1).any():
+        raise AssertionError("character sums must match the count parity")
+    sums >>= 1
     return sums
 
 
 @lru_cache(maxsize=None)
 def _count_table(field: FieldSpec) -> np.ndarray:
-    """Read-only int32 table of shape (3, q) for odd m: rows n1, n3 and
-    n5, where n_i(lam) = #{x in F_q^* : trace(phi_i(x)) = 0}, and row
-    _ROW[i - 1] holds n_i.  Column lam = 0 is filler.
+    """Read-only int32 table of shape (2, q) for odd m: rows n1 + n3 and
+    n5, where n_i(lam) = #{x in F_q^* : trace(phi_i(x)) = 0}.  Column
+    lam = 0 is filler.
 
     With masks M such that trace(lam * psi(x)) = parity(lam & M[x]), the
     Walsh-Hadamard transform of the mask histogram evaluates
-    sum_x (-1)^trace(lam*psi(x)) for every lam at once.  Every value of
-    the transform lies within +-(q - 1), so int32 is exact up to m = 30.
-    docs/count_table.md derives the other counts as equal to these rows,
-    the last two at odd m only:
+    sum_x (-1)^trace(lam*psi(x)) for every lam at once; the transform is
+    linear, so the added phi1 and phi3 histograms give S1 + S3 in one row.
+    Every value lies within +-2(q - 1), so int32 is exact up to m = 29.
+    docs/count_table.md derives the other counts as equal to n1, n3 and
+    n5, the last two at odd m only:
 
         n2 = n1, n6 = n5:  x -> 1/x,
         n7 = n3:           x -> x^3, a bijection of F_q^* at odd m,
         n4 = n5:           u = x + 1/x, then a character sum (odd m).
     """
     require_odd(field.m)
-    sums = _fwht(_mask_histograms(field))
-    sums += field.q - 1
-    if (sums & 1).any():
-        raise AssertionError("character sums must match the count parity")
-    sums >>= 1
-    return _readonly(sums)
+    return _readonly(_halve(_fwht(_mask_histograms(field)), (2 * (field.q - 1), field.q - 1)))
+
+
+@lru_cache(maxsize=None)
+def _point_table(field: FieldSpec) -> np.ndarray:
+    """Read-only int32 table of shape (3, q) for odd m: rows n1, n3 and n5,
+    and row _ROW[i - 1] holds n_i.  Column lam = 0 is filler.
+
+    n1 is a one-row transform of the phi1 histogram, rebuilt from the
+    cached exp and T tables, so no histogram outlives _count_table; then
+    n3 = (n1 + n3) - n1, and n5 is _count_table's.  Row n1 is checked
+    against Carlitz's value set: 1 + S1 = 2*n1 - (q - 2) is 0 or
+    +-2^((m+1)/2) at every lam != 0 (docs/count_table.md, "Row
+    identities"), which a transfer between n1 and n3 leaves.
+    """
+    q = field.q
+    pair = _count_table(field)
+    hist = np.bincount(_phi1_mask(field)[1], minlength=q).astype(np.int32)[None]
+    n1 = _halve(_fwht(hist), (q - 1,))[0]
+    carlitz = np.abs(2 * n1[1:] - (q - 2))
+    if ((carlitz != 0) & (carlitz != 1 << (field.m + 1) // 2)).any():
+        raise AssertionError("row n1 left Carlitz's value set {0, +-2^((m+1)/2)}")
+    # hist is the transform's scratch; neither it nor carlitz is held while
+    # the three rows are stacked, so this stage peaks below the count build
+    del hist, carlitz
+    return _readonly(np.stack([n1, pair[0] - n1, pair[1]]))
 
 
 def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
@@ -183,7 +230,7 @@ def n_count(field: FieldSpec, i: int, lam: int, offset_bit: int) -> int:
     field._check(lam)
     if lam == 0:
         raise DegenerateLambdaError()
-    n = int(_count_table(field)[_ROW[i - 1], lam])
+    n = int(_point_table(field)[_ROW[i - 1], lam])
     return field.q - 1 - n if offset_bit else n
 
 
@@ -227,17 +274,35 @@ def _lam(field: FieldSpec, trace_class_a: int, b: int) -> int:
 def _rows(field: FieldSpec, trace_class_a: int, lam: int) -> tuple[int, int, int, int]:
     """(off, n1', n3', n5) at one lam, off = Tr(A + 1): n1' and n3' count
     phi1 + c and phi3 + c, c a constant of trace off (q - 1 - n when
-    off = 1), and phi5 = phi1 + phi3 carries c twice."""
+    off = 1), and phi5 = phi1 + phi3 carries c twice: one column of the
+    point table."""
     off = _offset(field, trace_class_a)
-    n1, n3, n5 = _count_table(field)[:, lam].tolist()
+    n1, n3, n5 = _point_table(field)[:, lam].tolist()
     if off:
         n1, n3 = field.q - 1 - n1, field.q - 1 - n3
     return off, n1, n3, n5
 
 
+def _sum_rows(field: FieldSpec, trace_class_a: int, lam: int) -> tuple[int, int, int]:
+    """(off, n1' + n3', n5) at one lam, as in _rows, from the two-row count
+    table: the adjusted sum is 2(q - 1) - (n1 + n3) when off = 1."""
+    off = _offset(field, trace_class_a)
+    n13, n5 = _count_table(field)[:, lam].tolist()
+    if off:
+        n13 = 2 * (field.q - 1) - n13
+    return off, n13, n5
+
+
+def _combined_trace(q: int, off: int, n13: int, n5: int) -> int:
+    """t_combined = 2*t1 + 2*t3 + 3*t5 = 7q - 9 + 4*off - 4(n1' + n3') - 6*n5
+    in the adjusted rows, n13 = n1' + n3' (docs/count_table.md).  The one
+    formula for curve_traces and coset.calibrate_boundary."""
+    return 7 * q - 9 + 4 * off - 4 * n13 - 6 * n5
+
+
 def curve_traces(params: CurveParams) -> TraceProfile:
     """Fibre counts and Frobenius traces of the seven Jacobian factors,
-    from the count table.
+    from one column of the point table.
 
     Boundary conventions: the cubic-polynomial cover contributes one point
     at infinity (t1 counts over F_q plus that point); the covers with
@@ -252,7 +317,7 @@ def curve_traces(params: CurveParams) -> TraceProfile:
     t3 = q - 1 - 2 * n3
     t5 = q - 1 - 2 * n5
     n = tuple((n1, n3, n5)[r] for r in _ROW)
-    return TraceProfile(n, t1, t3, t5, t5, 2 * t1 + 2 * t3 + 3 * t5)  # tg = t5, as g_count = n5
+    return TraceProfile(n, t1, t3, t5, t5, _combined_trace(q, off, n1 + n3, n5))  # tg = t5, as g_count = n5
 
 
 def _coefficients(subset: str) -> tuple[int, int, int]:
@@ -314,7 +379,7 @@ def split_interval(subset: str, field: FieldSpec, trace_class_a: int) -> tuple[f
 
 def n_counts_all(field: FieldSpec) -> np.ndarray:
     """All seven counts for every lam at once: result[i-1][lam] = n_i(lam),
-    a read-only (7, q) expansion of the count table, made on each call.
+    a read-only (7, q) expansion of the point table, made on each call.
     Column lam = 0 is filler.
     """
-    return _readonly(np.take(_count_table(field), _ROW, axis=0))
+    return _readonly(np.take(_point_table(field), _ROW, axis=0))

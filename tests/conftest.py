@@ -3,9 +3,12 @@
 The reference helpers here recompute traces and fibre counts straight
 from the definitions (Frobenius-power sums, per-x field evaluation), so
 the fast mask kernels are always checked against an independent path;
-irreducible_by_trial_division stands behind Ben-Or's test in gf2m, and
-mul_array (shift-and-reduce products over whole arrays) stands behind
-the constant multiplier of the field tables, and f2_rank_by_loop,
+count_rows_by_three_transforms keeps the three-row count build, one
+transform each for n1, n3 and n5, behind the two-row table and the
+point table of curves; irreducible_by_trial_division stands behind
+Ben-Or's test in gf2m, and mul_array (shift-and-reduce products over
+whole arrays) stands behind the constant multiplier of the field
+tables, and f2_rank_by_loop,
 full_group_bfs_layers and weight4_histogram_by_triples do the same for
 the group order, the orbit BFS and the translation-orbit histogram of
 the oracle, and invariants_emptied_around steps one syndrome state by
@@ -23,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from bch3.gf2m import FieldSpec, make_field, poly_mod, power_table
+from bch3 import curves
+from bch3.gf2m import FieldSpec, inverse_table, make_field, poly_mod, power_table, trace_mul_table
 
 
 @pytest.fixture(scope="session")
@@ -105,6 +109,21 @@ def g_count_slow(field: FieldSpec, lam: int) -> int:
         value = field.mul(lam, field.mul(field.mul(x, x), x)) ^ field.inv(x)
         count += trace_by_definition(field, value) == 0
     return count
+
+
+def count_rows_by_three_transforms(field: FieldSpec) -> np.ndarray:
+    """int64 rows n1, n3 and n5 for every lam, shape (3, q): the bincounts
+    of T[x^3 + x], T[1/x + x] and T[x^3 + 1/x] over F_q^*, with x^3 and 1/x
+    read from power_table and inverse_table, one Walsh-Hadamard row each,
+    then n = (S + q - 1)/2.  Column lam = 0 holds q - 1."""
+    q = field.q
+    T = trace_mul_table(field)
+    xs = np.arange(1, q, dtype=np.int64)
+    cube, inv = power_table(field, 3)[1:], inverse_table(field)[1:]
+    hists = np.stack([np.bincount(T[psi], minlength=q) for psi in (cube ^ xs, inv ^ xs, cube ^ inv)])
+    sums = curves._fwht(hists.astype(np.int32)).astype(np.int64) + q - 1
+    assert not (sums & 1).any()
+    return sums >> 1
 
 
 def read_profile_fixture(path) -> list[dict]:

@@ -144,15 +144,16 @@ class TestCommands:
         assert report["payload"]["boundary"] == {"0": 0, "1": 12}
 
     def test_verify_refuses_a_slipped_boundary_point(self, capsys, monkeypatch):
-        # n1' one up moves t_combined by a constant, so the constant at lam = 1
-        # leaves its proven value; N reads the count table, not _rows
-        rows = cli.curves._rows
+        # n1' + n3' one up in calibrate_boundary's read moves t_combined by
+        # -4, so the constant at lam = 1 leaves its proven value; N reads
+        # the count table directly, not through _sum_rows
+        rows = cli.curves._sum_rows
 
         def slipped(*args):
-            off, n1, n3, n5 = rows(*args)
-            return off, n1 + 1, n3, n5
+            off, n13, n5 = rows(*args)
+            return off, n13 + 1, n5
 
-        monkeypatch.setattr(cli.curves, "_rows", slipped)
+        monkeypatch.setattr(cli.curves, "_sum_rows", slipped)
         message = "boundary constant in class 0 is 4, not the proven 0"
         with pytest.raises(AssertionError, match=f"^{message}$"):
             cli.coset.calibrate_boundary(7)
@@ -225,6 +226,44 @@ TRACES_M5_B0_TSV = [
     "tr_a\t1\nb\t0x0\nlambda\t0x1\nj_invariant\t0x1\nn\t11,11,21,11,11,11,21\n"
     "t1\t8\nt3\t-11\nt5\t9\ntg\t9\nt_combined\t21\n",
 ]
+
+
+POINT_FREE = {
+    "table": ["table", "--m", "7"],
+    "gamma": ["gamma", "--m", "13"],
+    "verify": ["verify", "--m", "7"],
+    "nab-tr-a": ["nab", "--m", "7", "--tr-a", "0", "--b", "0x5"],
+    "nab-a": ["nab", "--m", "7", "--a", "0x3", "--b", "0x5"],
+    "covering-radius": ["covering-radius", "--m", "7"],
+}
+
+
+class TestPointTableBuilds:
+    """The table, gamma, verify, nab and covering-radius paths read n1 + n3
+    and n5 only, so they never build the n1 row of curves._point_table;
+    traces and split build it once per field, whatever they read."""
+
+    @staticmethod
+    def builds(capsys, argv):
+        cli.curves._point_table.cache_clear()
+        assert run(capsys, *argv)[0] == 0
+        return cli.curves._point_table.cache_info().misses
+
+    @pytest.mark.parametrize("argv", list(POINT_FREE.values()), ids=list(POINT_FREE))
+    def test_never_built(self, capsys, argv):
+        assert self.builds(capsys, argv) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["traces", "--m", "7", "--b", "0x5"],
+            ["traces", "--m", "7", "--b", "0x5", "--tr-a", "1"],
+            ["split", "--m", "7", "--subset", "f1f2f3", "--b", "0x5"],
+        ],
+        ids=["traces-both", "traces-one", "split"],
+    )
+    def test_built_once(self, capsys, argv):
+        assert self.builds(capsys, argv) == 1
 
 
 def _prefixed(prefix, rows):

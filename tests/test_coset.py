@@ -88,7 +88,7 @@ class TestNOf:
                 assert values[slot] == N_of(field, cls, lam ^ 1) == N_of_general(field, cls, lam ^ 1)
 
     def test_lattice_gate_fires(self, monkeypatch):
-        # row n1 two up at one lam moves 24N by 8, off the lattice
+        # row n1 + n3 two up at one lam moves 24N by 8, off the lattice
         field = make_field(7)
         perturbed = curves._count_table(field).copy()
         perturbed[0, 7] += 2
@@ -562,7 +562,7 @@ def _refuse(*args, **kwargs):
     raise LookupError("a per-field table was read before the input was checked")
 
 
-TABLES = [(coset, "invariants"), (curves, "_count_table")]
+TABLES = [(coset, "invariants"), (curves, "_count_table"), (curves, "_point_table")]
 KEY = [(coset, "slot_key")]
 LAM0 = DegenerateLambdaError
 # id: (entry point, field degree, the other arguments, the builders it must

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bch3 import coset, curves, gf2m
+from bch3 import cli, coset, curves, gf2m
 from bch3.curves import (
     CurveParams,
     DegenerateLambdaError,
@@ -29,6 +29,7 @@ from bch3.gf2m import (
     trace_mul_table,
 )
 from conftest import (
+    count_rows_by_three_transforms,
     g_count_slow,
     mul_array,
     n_count_slow,
@@ -180,11 +181,16 @@ class TestCounts:
         assert n_count(f5, 3, 1, 0) == 21
 
     def test_table_is_read_only(self, f5):
-        # the cached three rows, and the seven-row expansion made from them
+        # the cached two rows n1 + n3 and n5, the cached three point rows,
+        # and the seven-row expansion made from them
         table = curves._count_table(f5)
-        assert table.shape == (3, f5.q) and table.dtype == np.int32
+        assert table.shape == (2, f5.q) and table.dtype == np.int32
         with pytest.raises(ValueError):
             table[0, 1] = 0
+        point = curves._point_table(f5)
+        assert point.shape == (3, f5.q) and point.dtype == np.int32
+        with pytest.raises(ValueError):
+            point[0, 1] = 0
         with pytest.raises(ValueError):
             n_counts_all(f5)[:, 1] = 0
         assert n_counts_all(f5).shape == (7, f5.q)
@@ -206,7 +212,9 @@ def _three_moduli(m: int) -> list[int]:
 class TestMaskHistograms:
     """The exponent-order masks against the construction they replace:
     bincounts of T[x^3 + x], T[1/x + x] and T[x^3 + 1/x] over F_q^*, with
-    x^3 and 1/x read from power_table and inverse_table."""
+    x^3 and 1/x read from power_table and inverse_table.  The two-row
+    histograms are phi1's and phi3's added, and phi5's; the point table
+    rebuilds phi1's alone."""
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13, 15])
     def test_equal_cube_and_inverse_construction(self, m):
@@ -215,8 +223,9 @@ class TestMaskHistograms:
             T = trace_mul_table(field)
             xs = np.arange(1, field.q, dtype=np.int64)
             cube, inv = power_table(field, 3)[1:], inverse_table(field)[1:]
-            want = [np.bincount(T[psi], minlength=field.q) for psi in (cube ^ xs, inv ^ xs, cube ^ inv)]
-            assert np.array_equal(curves._mask_histograms(field), want)
+            h1, h3, h5 = (np.bincount(T[psi], minlength=field.q) for psi in (cube ^ xs, inv ^ xs, cube ^ inv))
+            assert np.array_equal(curves._mask_histograms(field), [h1 + h3, h5])
+            assert np.array_equal(np.bincount(curves._phi1_mask(field)[1], minlength=field.q), h1)
 
     @pytest.mark.parametrize("m", [4, 6])
     def test_even_degree_gate_fires(self, m):
@@ -226,9 +235,9 @@ class TestMaskHistograms:
 
     def test_cold_count_build_peak(self):
         # with exp and T prebuilt: the masks take 2 * 8q (the phi3 mask
-        # overwrites texp, the phi5 mask the phi1 mask), the int32 sums
-        # 1.5 * 8q and a bincount 8q; the cube and inverse construction
-        # peaked at 7.5 * 8q
+        # overwrites texp, the phi5 mask the phi1 mask), the two int32 rows
+        # 8q and a bincount 8q; the cube and inverse construction peaked
+        # at 7.5 * 8q
         field = make_field(17)
         exp_table(field)
         trace_mul_table(field)
@@ -239,6 +248,72 @@ class TestMaskHistograms:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 8 * field.q
+
+
+class TestTwoRows:
+    """The two-row table and the point table against the three-row build of
+    conftest, and the gates that guard them."""
+
+    @pytest.mark.parametrize("m", range(5, 18, 2))
+    def test_equal_three_transform_build(self, m):
+        for modulus in _three_moduli(m):
+            field = make_field(m, modulus)
+            n1, n3, n5 = want = count_rows_by_three_transforms(field)
+            assert np.array_equal(curves._count_table(field), [n1 + n3, n5])
+            assert np.array_equal(curves._point_table(field), want)
+
+    def test_table_path_transforms_two_rows(self, capsys, monkeypatch):
+        field = make_field(9, _three_moduli(9)[1])
+        seen = []
+        transform = curves._fwht
+
+        def spy(a):
+            seen.append(a.shape)
+            return transform(a)
+
+        monkeypatch.setattr(curves, "_fwht", spy)
+        for cache in (curves._count_table, curves._point_table, coset.invariants):
+            cache.cache_clear()
+        assert cli.main(["table", "--m", "9", "--modulus", hex(field.modulus)]) == 0
+        capsys.readouterr()
+        assert seen == [(2, field.q)]
+
+    def test_point_build_peak(self):
+        # with exp, T and the count table built: texp and M1 take 2 * 8q,
+        # and the stack n1, (n1 + n3) - n1 and its (3, q) result 2.5 * 8q.
+        # Within 3 * 8q, the retained count table (8q) and this stage stay
+        # under the count build's own peak of 4 * 8q, so traces and split
+        # peak no higher than table
+        field = make_field(17)
+        curves._count_table(field)
+        tracemalloc.start()
+        try:
+            curves._point_table.__wrapped__(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * field.q
+
+    def test_value_set_gate_fires(self, monkeypatch):
+        # n1 two up and n3 two down at lam = 7: n1 + n3 and n5 keep their
+        # values, so the lattice gate passes, S1 moves by 4, so the parity
+        # gate passes, and 1 + S1 leaves {0, +-2^((m+1)/2)}
+        field = make_field(7)
+        n1, n3, n5 = curves._point_table(field).copy()
+        n1[7] += 2
+        n3[7] -= 2
+        monkeypatch.setattr(curves, "_count_table", lambda field: np.stack([n1 + n3, n5]))
+        assert np.array_equal(coset.invariants.__wrapped__(field), coset.invariants(field))
+        transform = curves._fwht
+
+        def shifted(a):
+            sums = transform(a)
+            sums[0, 7] += 4
+            return sums
+
+        monkeypatch.setattr(curves, "_fwht", shifted)
+        with pytest.raises(AssertionError, match="^row n1 left Carlitz's value set"):
+            curves._point_table.__wrapped__(field)
 
 
 class TestWalshHadamard:
@@ -266,7 +341,7 @@ class TestWalshHadamard:
 
         def off_by_one(a):
             sums = transform(a)
-            sums[2, 7] += 1  # the phi5 row, which holds n4, n5 and n6
+            sums[1, 7] += 1  # the phi5 row, which holds n4, n5 and n6
             return sums
 
         monkeypatch.setattr(curves, "_fwht", off_by_one)
@@ -499,7 +574,7 @@ class TestExponentialSums:
 
 
 class TestRowIdentities:
-    """Rows n1 and n3 of the count table against proven facts about their
+    """Rows n1 and n3 of the point table against proven facts about their
     character sums S_i = 2*n_i - (q - 1), at every lam: Carlitz's closed
     form for row n1, and the Kloosterman congruence and fourth moment for
     row n3 (docs/count_table.md, "Row identities").  No reference reads a
@@ -525,14 +600,14 @@ class TestRowIdentities:
         assert np.array_equal(sign[u], e_g)
         jacobi = 1 if m % 8 in (1, 7) else -1  # (2/m)
         want = np.where(self.trace(field, c) == 1, jacobi * (1 << (m + 1) // 2) * sign[c ^ 1], 0)
-        s1 = 2 * curves._count_table(field)[0, 1:].astype(np.int64) - (q - 1)
+        s1 = 2 * curves._point_table(field)[0, 1:].astype(np.int64) - (q - 1)
         assert np.array_equal(1 + s1, want)
 
     @pytest.mark.parametrize("m", range(5, 22, 2))
     def test_row_n3_kloosterman_congruence(self, m):
         field = make_field(m)
         lam = np.arange(1, field.q, dtype=np.int64)
-        s3 = 2 * curves._count_table(field)[1, 1:].astype(np.int64) - (field.q - 1)
+        s3 = 2 * curves._point_table(field)[1, 1:].astype(np.int64) - (field.q - 1)
         assert np.array_equal(s3 % 8, np.where(self.trace(field, lam) == 1, 3, 7))
 
     @pytest.mark.parametrize("m", range(5, 22, 2))
@@ -541,7 +616,7 @@ class TestRowIdentities:
         # S3 by 8 keeps the parity and the congruence but not this sum.
         # Summed in Python ints: the int64 sum overflows at m = 21.
         q = 1 << m
-        s3 = 2 * curves._count_table(make_field(m))[1, 1:].astype(np.int64) - (q - 1)
+        s3 = 2 * curves._point_table(make_field(m))[1, 1:].astype(np.int64) - (q - 1)
         values, counts = np.unique(s3, return_counts=True)
         total = sum(int(v) ** 4 * int(c) for v, c in zip(values, counts))
         assert total == 2 * q**3 - 2 * q**2 - 3 * q - 1
